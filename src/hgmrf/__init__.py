@@ -10,7 +10,6 @@ against an exact finite-lattice oracle (block-circulant eigenvalues,
 dense free-boundary algebra, and Monte Carlo likelihood ratios).
 """
 
-from .backend import active_backend
 from .car import (
     CarCoefficients,
     NoiseModel,
@@ -61,7 +60,6 @@ from .specfun import (
     QuadratureSpec,
     bessel_k1,
     elliptic_k,
-    integrate_2d_periodic,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +79,6 @@ __all__ = [
     "RateResult",
     "SfcarParams",
     "SweepResult",
-    "active_backend",
     "bessel_k1",
     "car_spectrum",
     "communication_energy",
@@ -97,7 +94,6 @@ __all__ = [
     "finite_lattice_rates",
     "fit_power_law",
     "hop_count_total",
-    "integrate_2d_periodic",
     "kli_integrand",
     "kli_rate_car",
     "rho_from_zeta",

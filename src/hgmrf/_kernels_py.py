@@ -1,22 +1,22 @@
-"""Pure-Python (numpy) fallback for the compiled quadrature kernels.
+"""Numpy quadrature kernels: the hot grid sums of every rate.
 
-Same contract as the Cython module ``hgmrf._kernels``: grid means of the
-per-frequency divergence and half-log integrands.  Evaluation is blocked
-over rows to bound memory; block sums are reduced with ``np.sum`` in a
-fixed order, so repeated calls are bit-identical.
+Grid means of the per-frequency divergence and half-log integrands.
+Evaluation is blocked over rows to bound memory; block sums are reduced
+with ``np.sum`` in a fixed order, so repeated calls are bit-identical.
 """
 
 import numpy as np
+
+from .specfun import midpoint_grid
 
 # Rows per block are chosen so a block never exceeds ~32M doubles.
 _BLOCK_ELEMS = 1 << 25
 
 
 def _grid(n: int, midpoint: bool) -> np.ndarray:
-    k = np.arange(n, dtype=np.float64)
     if midpoint:
-        return -np.pi + 2.0 * np.pi * (k + 0.5) / n
-    return 2.0 * np.pi * k / n
+        return midpoint_grid(n)
+    return 2.0 * np.pi * np.arange(n, dtype=np.float64) / n
 
 
 def _block_rows(n: int) -> int:

@@ -168,7 +168,7 @@ def sfcar_from_snr(snr: float, zeta: float, noise: NoiseModel = NoiseModel()) ->
 
     Inverts the SNR relation: kappa = 2 K(4 zeta) / (pi snr sigma^2).
     """
-    if not snr > 0.0:
-        raise ValueError("snr must be positive")
+    if not 0.0 < snr < math.inf:
+        raise ValueError("snr must be positive and finite")
     kappa = 2.0 * elliptic_k(4.0 * zeta) / (math.pi * snr * noise.sigma2)
     return SfcarParams(kappa=kappa, zeta=zeta)

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -169,12 +170,15 @@ def _resolve_snr(args) -> float:
     if snr is not None and snr_db is not None:
         raise ValueError("give either --snr or --snr-db, not both")
     if snr_db is not None:
-        return 10.0 ** (float(snr_db) / 10.0)
+        try:
+            snr = 10.0 ** (float(snr_db) / 10.0)
+        except OverflowError:
+            snr = math.inf
     if snr is None:
         raise ValueError("an SNR is required (--snr or --snr-db)")
     snr = float(snr)
-    if not snr > 0.0:
-        raise ValueError("snr must be positive")
+    if not 0.0 < snr < math.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr!r}")
     return snr
 
 
@@ -204,7 +208,7 @@ def _format_value(v):
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 

@@ -21,7 +21,7 @@ from .physmap import PhysicalField, edge_correlation
 from .rates import sfcar_rates, sfcar_rates_at_spacing
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec
 
-FIT_MODELS = ("power_law", "exponential_with_sqrt_prefactor", "logarithmic", "affine")
+FIT_MODELS = ("power_law", "exponential_with_sqrt_prefactor", "logarithmic")
 
 #: Spacing-decay fits need tighter quadrature: the gaps shrink below 1e-6.
 SPACING_QUADRATURE = QuadratureSpec(points_per_axis=256, relative_tolerance=1e-11,

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from . import backend
+from . import _kernels_py
 from .car import NoiseModel, SfcarParams
 from .rates import RateResult, kli_integrand
 
@@ -125,7 +125,7 @@ def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
     if lattice.boundary == "free":
         return _free_rates(params, noise, lattice.n)
     scale = 1.0 / (params.kappa * noise.sigma2)
-    kli, mi = backend.sfcar_grid_sums(scale, params.zeta, lattice.n, False)
+    kli, mi = _kernels_py.sfcar_grid_sums(scale, params.zeta, lattice.n, False)
     return RateResult(kli, mi, lattice.n, True)
 
 

@@ -33,10 +33,13 @@ class PhysicalField:
     spacing: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        if not self.spacing > 0.0:
-            raise ValueError("spacing must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
+        product = self.alpha * self.spacing
+        if not 0.0 < product < math.inf:
+            raise ValueError(f"alpha*spacing must be positive and finite, got {product!r}")
 
 
 #: Largest double below 1/4; upper end of the bisection bracket.
@@ -114,19 +117,23 @@ def edge_correlation(field: PhysicalField) -> float:
     return x * bessel_k1(x)
 
 
-def spectral_scale_from_rho(rho: float) -> float:
-    """Normalized power scale (2/pi) K(4 zeta(rho)).
+def spectral_scale_from_rho(rho: float, zeta: float | None = None) -> float:
+    """Normalized power scale (2/pi) K(4 zeta) at zeta = zeta_from_rho(rho).
 
-    In the saturated regime this equals 1/(1-rho) to within the same
-    accuracy as the asymptotic inverse; the rate quadrature consumes this
-    scale directly so that near-perfect correlation stays computable.
+    The forward map rho = (g - 1)/(4 zeta g), g = (2/pi) K(4 zeta), gives
+    g = 1/(1 - 4 zeta rho) exactly.  That form stays accurate where zeta
+    is rounded within a few ulps of 1/4: there 1 - 4 zeta is quantized to
+    multiples of 2.2e-16 and K(4 zeta) is off by up to 1e-2 relative,
+    while 1 - 4 zeta rho stays near 1 - rho.  Once zeta rounds to 1/4 it
+    is 1/(1 - rho), the saturated power scale.  Pass zeta if the caller
+    already holds zeta_from_rho(rho); it is computed otherwise.
     """
     rho = float(rho)
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
-    if rho > RHO_SATURATION:
-        return 1.0 / (1.0 - rho)
-    return (2.0 / math.pi) * elliptic_k(4.0 * zeta_from_rho(rho))
+    if zeta is None:
+        zeta = zeta_from_rho(rho)
+    return 1.0 / (1.0 - 4.0 * zeta * rho)
 
 
 def zeta_from_spacing(field: PhysicalField) -> float:

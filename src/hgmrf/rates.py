@@ -24,7 +24,7 @@ closed-form limit 0.
 import math
 from dataclasses import dataclass
 
-from . import backend
+from . import _kernels_py
 from .car import CarCoefficients, NoiseModel
 from .physmap import (
     RHO_SATURATION,
@@ -112,7 +112,7 @@ def _sfcar_quadrature(scale: float, zeta_den: float, snr: float,
         rtol = max(rtol, _ENDPOINT_RTOL_FLOOR)
     c = snr / scale
     return _doubling_rates(
-        lambda n: backend.sfcar_grid_sums(c, zeta_den, n, True), spec, start, rtol
+        lambda n: _kernels_py.sfcar_grid_sums(c, zeta_den, n, True), spec, start, rtol
     )
 
 
@@ -126,8 +126,8 @@ def sfcar_rates(zeta: float, snr: float, spec: QuadratureSpec = DEFAULT_QUADRATU
     zeta = float(zeta)
     if not 0.0 <= zeta <= 0.25:
         raise ValueError("zeta must lie in [0, 1/4]")
-    if not snr > 0.0:
-        raise ValueError("snr must be positive")
+    if not 0.0 < snr < math.inf:
+        raise ValueError("snr must be positive and finite")
     if zeta == 0.25:
         return RateResult(0.0, 0.0, 0, True)
     scale = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
@@ -138,21 +138,23 @@ def sfcar_rates_at_spacing(field: PhysicalField, snr: float,
                            spec: QuadratureSpec = DEFAULT_QUADRATURE) -> RateResult:
     """Rates at physical parameters: zeta = g(rho(alpha*spacing)).
 
-    For nearly flat correlation (rho beyond the float-representable range
-    of zeta) the evaluation switches to the power-scale parameterization
-    (2/pi)K(4 zeta) = 1/(1-rho): the true 1/4 - zeta is below one ulp, so
-    the denominator is taken at the endpoint while the scale keeps the
-    full physical information.  Both branches agree to quadrature accuracy
-    at the handoff.
+    The power scale is (2/pi)K(4 zeta) = 1/(1 - 4 zeta rho)
+    (``spectral_scale_from_rho``), which keeps full accuracy where zeta
+    rounds to within a few ulps of 1/4.  For nearly flat correlation (rho
+    beyond the float-representable range of zeta) the denominator is taken
+    at the endpoint 1/4, while the scale 1/(1-rho) keeps the full physical
+    information.  Both branches agree to quadrature accuracy at the
+    handoff.
     """
-    if not snr > 0.0:
-        raise ValueError("snr must be positive")
+    if not 0.0 < snr < math.inf:
+        raise ValueError("snr must be positive and finite")
     rho = edge_correlation(field)
+    zeta = zeta_from_rho(rho)
+    scale = spectral_scale_from_rho(rho, zeta)
     if rho > RHO_SATURATION:
-        scale = spectral_scale_from_rho(rho)
         delta = 8.0 * math.exp(-math.pi * scale)
         return _sfcar_quadrature(scale, 0.25, snr, spec, delta)
-    return sfcar_rates(zeta_from_rho(rho), snr, spec)
+    return _sfcar_quadrature(scale, zeta, snr, spec, delta=1.0 - 4.0 * zeta)
 
 
 def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
@@ -167,7 +169,7 @@ def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
     oi, oj, vals = coeffs.tap_arrays()
 
     def sums(n: int):
-        kli, mi, min_den = backend.car_grid_sums(vals, oi, oj, noise.sigma2, n)
+        kli, mi, min_den = _kernels_py.car_grid_sums(vals, oi, oj, noise.sigma2, n)
         if min_den <= 0.0:
             raise ValueError(
                 f"precision symbol non-positive on integration grid (min {min_den:.3g})"

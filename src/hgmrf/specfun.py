@@ -2,9 +2,10 @@
 
 Exactly the primitives the rate formulas need: the complete elliptic
 integral of the first kind K(k) in the modulus convention (K(0) = pi/2,
-K(k) -> inf as k -> 1), the modified Bessel function K_1, and a
-midpoint-rule integrator on (-pi, pi]^2 with automatic grid doubling.
-All arithmetic is 64-bit binary floating point.
+K(k) -> inf as k -> 1), the modified Bessel function K_1, the midpoint
+grid on (-pi, pi] and the convergence test of the doubling quadrature
+that ``hgmrf.rates`` runs.  All arithmetic is 64-bit binary floating
+point.
 """
 
 import math
@@ -165,39 +166,3 @@ def close_enough(a: float, b: float, rtol: float) -> bool:
     if diff <= rtol * scale:
         return True
     return scale <= _ZERO_FLOOR and diff <= _ZERO_FLOOR
-
-
-def _midpoint_estimate(f, n: int) -> float:
-    w = midpoint_grid(n)
-    # Row blocks bound peak memory; f must accept broadcastable arrays.
-    rows = max(1, min(n, (1 << 25) // n))
-    parts = []
-    for lo in range(0, n, rows):
-        vals = np.asarray(f(w[lo : lo + rows, None], w[None, :]), dtype=np.float64)
-        vals = np.broadcast_to(vals, (min(rows, n - lo), n))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand returned a non-finite value")
-        parts.append(np.sum(vals))
-    return 4.0 * math.pi * math.pi * float(np.sum(parts)) / (float(n) * float(n))
-
-
-def integrate_2d_periodic(f, spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Integrate f over (-pi, pi]^2 with the doubling midpoint rule.
-
-    f is called with broadcastable numpy arrays (w1, w2) and must evaluate
-    elementwise.  Returns (value, points_per_axis_used).  Raises
-    NonConvergenceError if the relative tolerance is not met by
-    max_points_per_axis, and ValueError on non-finite integrand values.
-    """
-    n = spec.points_per_axis
-    prev = _midpoint_estimate(f, n)
-    while 2 * n <= spec.max_points_per_axis:
-        n *= 2
-        cur = _midpoint_estimate(f, n)
-        if close_enough(prev, cur, spec.relative_tolerance):
-            return cur, n
-        prev = cur
-    raise NonConvergenceError(
-        f"midpoint rule did not reach rtol={spec.relative_tolerance:g} "
-        f"within {spec.max_points_per_axis} points per axis"
-    )

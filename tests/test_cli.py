@@ -182,6 +182,15 @@ class TestExperimentCommand:
         assert summary["results"]["estimates"]["exponent"] == pytest.approx(2 / 3, abs=0.05)
         assert summary["params"]["snr"] == 10.0
 
+    def test_snr_table_cells_are_numbers(self, tmp_path):
+        out = tmp_path / "snr"
+        assert main(["experiment", "snr", "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO((tmp_path / "snr.csv").read_text())))
+        assert len(rows) > 1
+        for row in rows[1:]:
+            for cell in row:
+                float(cell)
+
 
 class TestErrorPaths:
     def test_unknown_command(self, capsys):
@@ -194,6 +203,23 @@ class TestErrorPaths:
         status, _, err = run_cli(["rates", "--zeta", "0.3", "--snr", "1"], capsys)
         assert status == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--alpha", "1", "--spacing", "inf"],
+            ["network", "--n", "8", "--spacing", "inf"],
+            ["rates", "--alpha", "1e-200", "--spacing", "1e-200", "--snr", "1"],
+            ["rates", "--zeta", "0.1", "--snr", "inf"],
+            ["rates", "--zeta", "0.1", "--snr-db", "1e10"],
+        ],
+    )
+    def test_out_of_domain_input_is_one_line_validation_error(self, argv, capsys):
+        status, out, err = run_cli(argv, capsys)
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(

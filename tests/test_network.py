@@ -11,6 +11,7 @@ from hgmrf.network import (
     hop_count_total,
     total_energy,
 )
+from hgmrf.specfun import NonConvergenceError, QuadratureSpec
 
 
 def brute_force_hops(n: int) -> int:
@@ -107,6 +108,12 @@ class TestEvaluateNetwork:
                             snr_per_joule=10.0)
         report = evaluate_network(cfg)
         assert report.total_energy == pytest.approx(4096 + brute_force_hops(64))
+
+    def test_unconverged_rate_raises(self):
+        config = NetworkConfig(n=8, spacing=0.02, alpha=1.0)
+        spec = QuadratureSpec(points_per_axis=8, max_points_per_axis=16)
+        with pytest.raises(NonConvergenceError):
+            evaluate_network(config, spec)
 
     def test_zero_sensing_energy_rejected(self):
         cfg = NetworkConfig(n=8, spacing=1.0, sensing_energy=0.0)

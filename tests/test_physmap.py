@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -47,6 +48,10 @@ class TestEdgeCorrelation:
             PhysicalField(alpha=0.0, spacing=1.0)
         with pytest.raises(ValueError):
             PhysicalField(alpha=1.0, spacing=-2.0)
+        with pytest.raises(ValueError):
+            PhysicalField(alpha=1.0, spacing=math.inf)
+        with pytest.raises(ValueError, match=r"alpha\*spacing"):
+            PhysicalField(alpha=1e-200, spacing=1e-200)
 
 
 class TestRhoFromZeta:
@@ -102,6 +107,29 @@ class TestZetaFromRho:
             zeta_from_rho(1.0)
         with pytest.raises(ValueError):
             zeta_from_rho(-0.2)
+
+    @pytest.mark.parametrize("alpha_d", [0.296, 20.0 / 63.0])
+    def test_scale_near_handoff_matches_high_precision_solve(self, alpha_d):
+        # Just above the handoff zeta rounds to within a few ulps of 1/4;
+        # the scale must not inherit that rounding.  Reference: solve
+        # rho = (g - 1)/((1 - delta) g), g = (2/pi) K(1 - delta), for
+        # delta = 1 - 4 zeta by bisection in log(delta) at 40 digits.
+        rho = edge_correlation(PhysicalField(alpha=1.0, spacing=alpha_d))
+        with mp.workdps(40):
+            def rho_of(t):
+                delta = mp.exp(t)
+                g = 2 / mp.pi * mp.ellipk((1 - delta) ** 2)
+                return (g - 1) / ((1 - delta) * g), g
+
+            lo, hi = mp.log(mp.mpf(10) ** -35), mp.mpf(0)
+            for _ in range(150):  # rho_of falls as t grows
+                mid = (lo + hi) / 2
+                if rho_of(mid)[0] > rho:
+                    lo = mid
+                else:
+                    hi = mid
+            ref = float(rho_of((lo + hi) / 2)[1])
+        assert spectral_scale_from_rho(rho) == pytest.approx(ref, rel=1e-12)
 
     def test_scale_continuous_across_saturation(self):
         below = spectral_scale_from_rho(np.nextafter(RHO_SATURATION, 0.0))

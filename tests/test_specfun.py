@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from hgmrf.specfun import (
-    DEFAULT_QUADRATURE,
-    NonConvergenceError,
     QuadratureSpec,
     bessel_k1,
     elliptic_k,
-    integrate_2d_periodic,
     K1_CROSSOVER,
 )
-
-FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
 
 class TestEllipticK:
@@ -86,59 +81,7 @@ class TestBesselK1:
             assert bessel_k1(x) == pytest.approx(ref, rel=1e-12)
 
 
-class TestIntegrate2dPeriodic:
-    def test_constant_is_exact(self):
-        value, points = integrate_2d_periodic(lambda w1, w2: 1.0)
-        assert value == FOUR_PI_SQ
-        assert points == 2 * DEFAULT_QUADRATURE.points_per_axis
-
-    def test_odd_harmonic_integrates_to_zero(self):
-        value, _ = integrate_2d_periodic(lambda w1, w2: np.cos(w1) + 0.0 * w2)
-        assert abs(value) <= 1e-12
-
-    def test_rational_integrand_matches_dense_rectangle_sum(self):
-        def f(w1, w2):
-            return 1.0 / (1.0 - 0.4 * np.cos(w1) - 0.4 * np.cos(w2))
-
-        value, _ = integrate_2d_periodic(f)
-        # dense 4096x4096 rectangle-rule reference, built directly
-        n = 4096
-        w = -np.pi + 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        dense = 0.0
-        for lo in range(0, n, 512):
-            dense += float(np.sum(f(w[lo : lo + 512, None], w[None, :])))
-        dense *= FOUR_PI_SQ / (n * n)
-        assert value == pytest.approx(dense, rel=1e-8)
-
-    def test_doubling_is_within_reported_tolerance(self):
-        def f(w1, w2):
-            return np.exp(np.cos(w1)) * (1.0 + 0.5 * np.cos(w2)) ** 2
-
-        spec = QuadratureSpec(points_per_axis=32, relative_tolerance=1e-10,
-                              max_points_per_axis=1024)
-        v1, n1 = integrate_2d_periodic(f, spec)
-        v2, _ = integrate_2d_periodic(
-            f, QuadratureSpec(points_per_axis=2 * n1, relative_tolerance=1e-10,
-                              max_points_per_axis=4096)
-        )
-        assert v1 == pytest.approx(v2, rel=1e-10)
-
-    def test_nonconvergence_raises(self):
-        def peaked(w1, w2):
-            return 1.0 / (1.001 - np.cos(w1)) + 0.0 * w2
-
-        spec = QuadratureSpec(points_per_axis=8, relative_tolerance=1e-9,
-                              max_points_per_axis=64)
-        with pytest.raises(NonConvergenceError):
-            integrate_2d_periodic(peaked, spec)
-
-    def test_non_finite_integrand_rejected(self):
-        def bad(w1, w2):
-            return np.where(np.abs(w1) < 0.1, np.nan, 1.0) + 0.0 * w2
-
-        with pytest.raises(ValueError):
-            integrate_2d_periodic(bad)
-
+class TestQuadratureSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
