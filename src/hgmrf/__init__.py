@@ -49,6 +49,7 @@ from .oracle import (
 from .physmap import (
     PhysicalField,
     edge_correlation,
+    edge_decorrelation,
     rho_from_zeta,
     zeta_from_rho,
     zeta_from_spacing,
@@ -84,6 +85,7 @@ __all__ = [
     "communication_energy",
     "density",
     "edge_correlation",
+    "edge_decorrelation",
     "elliptic_k",
     "evaluate_network",
     "exp_area_scaling",

@@ -1,9 +1,12 @@
-"""Numpy quadrature kernels: the hot grid sums of every rate.
+"""Numpy quadrature kernels: the hot sums of every rate.
 
-Grid means of the per-frequency divergence and half-log integrands.
-Evaluation is blocked over rows to bound memory; block sums are reduced
-with ``np.sum`` in a fixed order, so repeated calls are bit-identical.
+``sfcar_grid_sums`` averages the symmetric first-order integrands over w1
+alone, the w2 integral being closed-form; ``car_grid_sums`` sums a general
+CAR field over a 2-D midpoint grid, blocked over rows to bound memory.
+Every reduction runs in a fixed order, so repeated calls are bit-identical.
 """
+
+import math
 
 import numpy as np
 
@@ -12,35 +15,83 @@ from .specfun import midpoint_grid
 # Rows per block are chosen so a block never exceeds ~32M doubles.
 _BLOCK_ELEMS = 1 << 25
 
+#: The folded tanh-sinh rule spans t in [-4, 0]; its node nearest the
+#: origin sits at w1 = 2 pi / (1 + exp(pi sinh 4)) ~ 4e-37, so the part of
+#: (0, pi] it leaves out is far below rounding even where the integrand at
+#: w1 = 0 exceeds its mean by many orders of magnitude.
+_TANH_SINH_SPAN = 4.0
 
-def _grid(n: int, midpoint: bool) -> np.ndarray:
-    if midpoint:
-        return midpoint_grid(n)
-    return 2.0 * np.pi * np.arange(n, dtype=np.float64) / n
+#: 1/(2k+3)!: sinh(x) - x = x^3 sum_k x^(2k)/(2k+3)!, truncated where the
+#: next term is below 1e-19 relative for x < 1.
+_SINH_SERIES = tuple(1.0 / math.factorial(2 * k + 3) for k in range(10))
 
 
-def _block_rows(n: int) -> int:
-    return max(1, min(n, _BLOCK_ELEMS // max(n, 1)))
+def _tanh_sinh_rule(n: int):
+    """sin^2(w1/2) at the n nodes of the folded tanh-sinh rule, and their
+    weights, normalized to sum to 1.
+
+    w1 = 2 pi / (1 + exp(-pi sinh t)) is the tanh-sinh map of [0, 2 pi];
+    an integrand even about pi needs only its half t in [-4, 0], which
+    covers (0, pi] with nodes clustering double-exponentially at w1 = 0.
+    The trapezoid rule in t converges exponentially in n even at the |w1|
+    cusp of the zeta = 1/4 spectrum.
+    """
+    t = np.linspace(0.0, -_TANH_SINH_SPAN, n)
+    e = np.exp(np.pi * np.sinh(t))
+    weight = np.cosh(t) * e / (1.0 + e) ** 2  # dw1/dt up to a constant
+    weight[0] *= 0.5
+    weight[-1] *= 0.5
+    return np.sin(np.pi * e / (1.0 + e)) ** 2, weight / np.sum(weight)
 
 
-def sfcar_grid_sums(scale: float, zeta: float, n: int, midpoint: bool):
-    """Means of (0.5*log1p(s) - 0.5*s/(1+s), 0.5*log1p(s)) with
-    s = scale/(1 - 2*zeta*cos(w1) - 2*zeta*cos(w2)) over an n-by-n grid."""
+def _sinh_minus_x(x: np.ndarray) -> np.ndarray:
+    # valid for |x| <= 1
+    x2 = x * x
+    poly = np.zeros_like(x)
+    for coef in reversed(_SINH_SERIES):
+        poly = poly * x2 + coef
+    return x * x2 * poly
+
+
+def sfcar_grid_sums(c: float, delta: float, n: int):
+    """Averages over (-pi, pi]^2 of (0.5*log1p(s) - 0.5*s/(1+s), 0.5*log1p(s))
+    with s = c/(1 - 2 zeta cos w1 - 2 zeta cos w2), delta = 1 - 4 zeta,
+    by the w2 integral in closed form and an n-node rule in w1.
+
+    Writing the denominator as A - B cos w2 with
+    A - B = delta + (1 - delta) sin^2(w1/2) and A + B = 1 + (1 - delta) sin^2(w1/2),
+    free of cancellation as zeta -> 1/4, the w2 averages are
+
+        MI(w1)  = Delta/2,  Delta = L(A + c) - L(A) = log1p((c + r1 - r0)/(A + r0)),
+        KLI(w1) = (Delta - c/r1)/2,
+
+    where L(a) = log((a + sqrt(a^2 - B^2))/2) is the w2 average of
+    log(a - B cos w2), r0 = sqrt((A - B)(A + B)) and
+    r1 = sqrt((A + c - B)(A + c + B)).  For Delta < 1 the KLI is formed as
+    ((A + c)/r1) sinh^2(Delta/2) - (sinh Delta - Delta)/2, which does not
+    cancel at low SNR.  Returns (kli_mean, mi_mean).
+    """
     if n < 1:
-        raise ValueError("grid side must be >= 1")
-    cw = np.cos(_grid(n, midpoint))
-    rows = _block_rows(n)
-    kli_parts = []
-    mi_parts = []
-    for lo in range(0, n, rows):
-        row1 = 1.0 - 2.0 * zeta * cw[lo : lo + rows]
-        den = row1[:, None] - 2.0 * zeta * cw[None, :]
-        s = scale / den
-        halflog = 0.5 * np.log1p(s)
-        mi_parts.append(np.sum(halflog))
-        kli_parts.append(np.sum(halflog - 0.5 * s / (1.0 + s)))
-    norm = float(n) * float(n)
-    return float(np.sum(kli_parts)) / norm, float(np.sum(mi_parts)) / norm
+        raise ValueError("node count must be >= 1")
+    sin2, weight = _tanh_sinh_rule(n)
+    lo = delta + (1.0 - delta) * sin2
+    hi = 1.0 + (1.0 - delta) * sin2
+    r0 = np.sqrt(lo * hi)
+    r1 = np.sqrt(lo + c) * np.sqrt(hi + c)  # no overflow up to c ~ 1e307
+    a = 0.5 * (lo + hi)
+    # r1 - r0 = c (lo + hi + c)/(r1 + r0)
+    gap = np.log1p((c + c * ((lo + hi + c) / (r1 + r0))) / (a + r0))
+    small = np.minimum(gap, 1.0)
+    kli = np.where(gap < 1.0,
+                   (a + c) / r1 * np.sinh(0.5 * small) ** 2 - 0.5 * _sinh_minus_x(small),
+                   0.5 * (gap - c / r1))
+    return _average(weight, kli), 0.5 * _average(weight, gap)
+
+
+def _average(weight: np.ndarray, values: np.ndarray) -> float:
+    # summed as deviations from the value at w1 = pi, so that a constant
+    # (zeta = 0) is averaged exactly
+    return float(values[0] + weight @ (values - values[0]))
 
 
 def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: float, n: int):
@@ -53,7 +104,7 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
     oj = np.asarray(oj)
     if oi.shape != theta.shape or oj.shape != theta.shape:
         raise ValueError("tap arrays must have equal length")
-    w = _grid(n, True)
+    w = midpoint_grid(n)
     rows = max(1, min(n, _BLOCK_ELEMS // (max(n, 1) * max(len(theta), 1))))
     kli_parts = []
     mi_parts = []

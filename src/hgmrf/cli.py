@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .network import NetworkConfig, evaluate_network
 from .oracle import LatticeSpec, MonteCarloSpec, finite_lattice_rates, sample_llr_per_node
-from .physmap import PhysicalField, edge_correlation, zeta_from_rho, zeta_from_spacing
+from .physmap import PhysicalField, edge_correlation, zeta_from_spacing
 from .rates import sfcar_rates, sfcar_rates_at_spacing
 from .specfun import DEFAULT_QUADRATURE, NonConvergenceError, QuadratureSpec
 
@@ -296,7 +296,7 @@ def _cmd_map(args) -> int:
     field = PhysicalField(alpha=args.alpha, spacing=args.spacing)
     rho = edge_correlation(field)
     params = {"alpha": args.alpha, "spacing": args.spacing}
-    results = {"rho": rho, "zeta": zeta_from_rho(rho)}
+    results = {"rho": rho, "zeta": zeta_from_spacing(field)}
     _emit(args, params, results)
     return EXIT_OK
 

@@ -21,9 +21,11 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from . import _kernels_py
 from .car import NoiseModel, SfcarParams
 from .rates import RateResult, kli_integrand
+
+#: Elements per block of the torus sums.
+_TORUS_BLOCK_ELEMS = 1 << 15
 
 #: Free-boundary mode builds dense n^2 x n^2 matrices; keep it desk-sized.
 FREE_BOUNDARY_MAX_SIDE = 64
@@ -124,9 +126,16 @@ def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
     """
     if lattice.boundary == "free":
         return _free_rates(params, noise, lattice.n)
-    scale = 1.0 / (params.kappa * noise.sigma2)
-    kli, mi = _kernels_py.sfcar_grid_sums(scale, params.zeta, lattice.n, False)
-    return RateResult(kli, mi, lattice.n, True)
+    n = lattice.n
+    s = 1.0 / (torus_eigenvalues(params, n) * noise.sigma2)
+    # summed over blocks of rows, whose temporaries stay small: n^2-sized
+    # ones would raise the peak memory of the process
+    rows = max(1, _TORUS_BLOCK_ELEMS // n)
+    kli = mi = 0.0
+    for block in (s[lo : lo + rows] for lo in range(0, n, rows)):
+        kli += float(np.sum(kli_integrand(block)))
+        mi += float(np.sum(0.5 * np.log1p(block)))
+    return RateResult(kli / (n * n), mi / (n * n), n, True)
 
 
 def _replicate_normals(seed: int, replicate: int, n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_k1, elliptic_k
+from .specfun import bessel_k1, elliptic_k, one_minus_x_k1
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,19 @@ def zeta_from_rho(rho: float) -> float:
     rho = float(rho)
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
+    return _zeta(rho, 1.0 - rho)
+
+
+def _zeta(rho: float, one_minus_rho: float) -> float:
+    # rho may have rounded to 1 where one_minus_rho is still positive; only
+    # the saturated branch, which rho ~ 1 always takes, reads one_minus_rho.
+    # That underflows to 0 below alpha*d ~ 1e-162, where zeta is 1/4 anyway.
     if rho == 0.0:
         return 0.0
     if rho > RHO_SATURATION:
-        return 0.25 - 2.0 * math.exp(-math.pi / (1.0 - rho))
+        if one_minus_rho == 0.0:
+            return 0.25
+        return 0.25 - 2.0 * math.exp(-math.pi / one_minus_rho)
     lo, hi = 0.0, ZETA_MAX
     while True:
         mid = 0.5 * (lo + hi)
@@ -108,32 +117,51 @@ def zeta_from_rho(rho: float) -> float:
 
 
 def edge_correlation(field: PhysicalField) -> float:
-    """rho = alpha*d*K_1(alpha*d), strictly inside (0, 1).
+    """rho = alpha*d*K_1(alpha*d), in [0, 1].
 
     Depends on alpha and spacing only through their product, and decreases
-    monotonically with spacing.
+    monotonically with spacing.  Below alpha*d ~ 2e-10 it rounds to 1; use
+    ``edge_decorrelation`` for 1 - rho there.
     """
     x = field.alpha * field.spacing
     return x * bessel_k1(x)
+
+
+def edge_decorrelation(field: PhysicalField) -> float:
+    """1 - rho, accurate to rounding down to alpha*d ~ 1e-154, where it
+    leaves the normal double range (it underflows to 0 below ~1e-162).
+
+    Subtracting ``edge_correlation`` from 1 loses ~eps/(1 - rho) relative
+    (all of it once rho rounds to 1); this takes 1 - x K_1(x) from the
+    ascending series with the leading 1 cancelled analytically
+    (``specfun.one_minus_x_k1``).  Behaves like (x^2/2) ln(1/x), x = alpha*d.
+    """
+    return one_minus_x_k1(field.alpha * field.spacing)
+
+
+def _scale(zeta: float, one_minus_rho: float) -> float:
+    den = (1.0 - 4.0 * zeta) + 4.0 * zeta * one_minus_rho
+    return 1.0 / den if den > 0.0 else math.inf
 
 
 def spectral_scale_from_rho(rho: float, zeta: float | None = None) -> float:
     """Normalized power scale (2/pi) K(4 zeta) at zeta = zeta_from_rho(rho).
 
     The forward map rho = (g - 1)/(4 zeta g), g = (2/pi) K(4 zeta), gives
-    g = 1/(1 - 4 zeta rho) exactly.  That form stays accurate where zeta
-    is rounded within a few ulps of 1/4: there 1 - 4 zeta is quantized to
-    multiples of 2.2e-16 and K(4 zeta) is off by up to 1e-2 relative,
-    while 1 - 4 zeta rho stays near 1 - rho.  Once zeta rounds to 1/4 it
-    is 1/(1 - rho), the saturated power scale.  Pass zeta if the caller
-    already holds zeta_from_rho(rho); it is computed otherwise.
+    g = 1/(1 - 4 zeta rho) = 1/((1 - 4 zeta) + 4 zeta (1 - rho)) exactly.
+    The second form is a sum of two nonnegative terms, so it stays accurate
+    where zeta is rounded within a few ulps of 1/4: there 1 - 4 zeta is
+    quantized to multiples of 2.2e-16 and K(4 zeta) is off by up to 1e-2
+    relative.  Once zeta rounds to 1/4 it is 1/(1 - rho), the saturated
+    power scale.  Pass zeta if the caller already holds zeta_from_rho(rho);
+    it is computed otherwise.
     """
     rho = float(rho)
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
     if zeta is None:
         zeta = zeta_from_rho(rho)
-    return 1.0 / (1.0 - 4.0 * zeta * rho)
+    return _scale(zeta, 1.0 - rho)
 
 
 def zeta_from_spacing(field: PhysicalField) -> float:
@@ -141,9 +169,25 @@ def zeta_from_spacing(field: PhysicalField) -> float:
 
     Strictly decreasing in spacing; values indistinguishable from 1/4 in
     64-bit floats are returned as 1/4 (rate operations treat that endpoint
-    as the exact zero-information limit).
+    as the exact zero-information limit).  Defined for every valid field,
+    also where rho rounds to 1.
     """
-    return zeta_from_rho(edge_correlation(field))
+    return _zeta(edge_correlation(field), edge_decorrelation(field))
+
+
+def spectral_parameters(field: PhysicalField) -> tuple[float, float]:
+    """(1 - 4 zeta, (2/pi) K(4 zeta)) of the sampled field, the two numbers
+    its rates depend on besides the SNR.
+
+    zeta is ``zeta_from_spacing(field)``; the scale is formed as in
+    ``spectral_scale_from_rho`` with 1 - rho from ``edge_decorrelation``,
+    so it keeps full accuracy at any density (where 1/(1 - rho) with a
+    rounded rho would be off by ~eps/(1 - rho)).  Where zeta rounds to 1/4
+    the first number is 0, within 1e-15 of its true value.
+    """
+    one_minus_rho = edge_decorrelation(field)
+    zeta = _zeta(edge_correlation(field), one_minus_rho)
+    return 1.0 - 4.0 * zeta, _scale(zeta, one_minus_rho)
 
 
 def _assert_monotone_forward_map():

@@ -15,10 +15,17 @@ For the symmetric first-order field the SNR and correlation separate:
 
     s(w) = SNR / ((2/pi) K(4 zeta) (1 - 2 zeta cos w1 - 2 zeta cos w2)),
 
-which is the canonical evaluation path here; the general-CAR route through
-f and sigma^2 is kept as an independent implementation for
-cross-validation.  At zeta = 1/4 exactly both rates are served as their
-closed-form limit 0.
+which is the canonical evaluation path here.  Its w2 integral is
+closed-form (see ``_kernels_py.sfcar_grid_sums``), which leaves an average
+over w1 taken by a tanh-sinh rule whose nodes cluster double-exponentially
+at w1 = 0, where the spectrum peaks as zeta -> 1/4.  The node count
+doubles from ``points_per_axis`` until two successive estimates agree to
+the relative tolerance; no regime needs a wider tolerance or a separate
+branch.  At zeta = 1/4 exactly both rates are served as their closed-form
+limit 0.
+
+The general-CAR route through f and sigma^2 is kept as an independent
+implementation for cross-validation: a doubling 2-D midpoint rule.
 """
 
 import math
@@ -26,29 +33,10 @@ from dataclasses import dataclass
 
 from . import _kernels_py
 from .car import CarCoefficients, NoiseModel
-from .physmap import (
-    RHO_SATURATION,
-    PhysicalField,
-    edge_correlation,
-    spectral_scale_from_rho,
-    zeta_from_rho,
-)
+from .physmap import PhysicalField, spectral_parameters
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, close_enough, elliptic_k
 
 import numpy as np
-
-#: Above this edge dependence the starting grid is raised to 1024 points
-#: per axis: the integrand peaks at the origin as zeta approaches 1/4.
-_ENDPOINT_ZETA = 0.2499
-_ENDPOINT_MIN_POINTS = 1024
-
-#: When the origin peak is narrower than a few grid cells at the maximum
-#: budget, doubling converges only at O(N^-2) (the unresolved peak acts as
-#: an integrable log singularity).  The effective tolerance floors here;
-#: the absolute error of the accepted estimate is ~1e-5 relative or
-#: better, and the skipped peak itself contributes O(delta log 1/delta).
-_ENDPOINT_RTOL_FLOOR = 1e-4
-_RESOLVE_CELLS = 6.0
 
 
 @dataclass(frozen=True)
@@ -56,8 +44,9 @@ class RateResult:
     """Per-node information rates in nats, with quadrature metadata.
 
     kli_rate <= mi_rate always (their integrands differ by the nonpositive
-    term 0.5/(1+s) - 0.5).  quadrature_points is the final grid side (0
-    for closed-form endpoint values); converged=False flags an estimate
+    term 0.5/(1+s) - 0.5).  quadrature_points is the final node count per
+    axis: w1 nodes on the SFCAR path, the grid side on the general-CAR path
+    (0 for closed-form endpoint values); converged=False flags an estimate
     that stopped at the point budget without meeting the tolerance.
     """
 
@@ -79,41 +68,24 @@ def kli_integrand(s):
     return float(out) if out.ndim == 0 else out
 
 
-def _delta_resolvable(delta: float, zeta: float, max_points: int) -> bool:
-    # Peak half-width in frequency is ~sqrt(delta/zeta); require several
-    # cells across it at the maximum grid.
-    width = math.sqrt(delta / max(zeta, 1e-2))
-    return width >= _RESOLVE_CELLS * 2.0 * math.pi / max_points
-
-
-def _doubling_rates(eval_sums, spec: QuadratureSpec, start: int, rtol: float) -> RateResult:
-    n = min(max(spec.points_per_axis, start), spec.max_points_per_axis)
+def _doubling_rates(eval_sums, spec: QuadratureSpec) -> RateResult:
+    n = spec.points_per_axis
     prev = eval_sums(n)
     while 2 * n <= spec.max_points_per_axis:
         n *= 2
         cur = eval_sums(n)
-        if close_enough(prev[0], cur[0], rtol) and close_enough(prev[1], cur[1], rtol):
+        if (close_enough(prev[0], cur[0], spec.relative_tolerance)
+                and close_enough(prev[1], cur[1], spec.relative_tolerance)):
             return RateResult(cur[0], cur[1], n, True)
         prev = cur
     return RateResult(prev[0], prev[1], n, False)
 
 
-def _sfcar_quadrature(scale: float, zeta_den: float, snr: float,
-                      spec: QuadratureSpec, delta: float) -> RateResult:
-    start = spec.points_per_axis
-    if zeta_den > _ENDPOINT_ZETA:
-        start = max(start, _ENDPOINT_MIN_POINTS)
-    if zeta_den == 0.25:
-        # odd midpoint grids contain the origin, where the endpoint
-        # denominator vanishes; even sides keep it at distance pi/n
-        start += start & 1
-    rtol = spec.relative_tolerance
-    if not _delta_resolvable(delta, zeta_den, spec.max_points_per_axis):
-        rtol = max(rtol, _ENDPOINT_RTOL_FLOOR)
+def _sfcar_quadrature(delta: float, scale: float, snr: float,
+                      spec: QuadratureSpec) -> RateResult:
+    # the one rate path of the symmetric first-order field: delta = 1 - 4 zeta
     c = snr / scale
-    return _doubling_rates(
-        lambda n: _kernels_py.sfcar_grid_sums(c, zeta_den, n, True), spec, start, rtol
-    )
+    return _doubling_rates(lambda n: _kernels_py.sfcar_grid_sums(c, delta, n), spec)
 
 
 def sfcar_rates(zeta: float, snr: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> RateResult:
@@ -130,31 +102,23 @@ def sfcar_rates(zeta: float, snr: float, spec: QuadratureSpec = DEFAULT_QUADRATU
         raise ValueError("snr must be positive and finite")
     if zeta == 0.25:
         return RateResult(0.0, 0.0, 0, True)
-    scale = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
-    return _sfcar_quadrature(scale, zeta, snr, spec, delta=1.0 - 4.0 * zeta)
+    return _sfcar_quadrature(1.0 - 4.0 * zeta, (2.0 / math.pi) * elliptic_k(4.0 * zeta),
+                             snr, spec)
 
 
 def sfcar_rates_at_spacing(field: PhysicalField, snr: float,
                            spec: QuadratureSpec = DEFAULT_QUADRATURE) -> RateResult:
     """Rates at physical parameters: zeta = g(rho(alpha*spacing)).
 
-    The power scale is (2/pi)K(4 zeta) = 1/(1 - 4 zeta rho)
-    (``spectral_scale_from_rho``), which keeps full accuracy where zeta
-    rounds to within a few ulps of 1/4.  For nearly flat correlation (rho
-    beyond the float-representable range of zeta) the denominator is taken
-    at the endpoint 1/4, while the scale 1/(1-rho) keeps the full physical
-    information.  Both branches agree to quadrature accuracy at the
-    handoff.
+    Takes 1 - 4 zeta and the power scale (2/pi)K(4 zeta) from
+    ``physmap.spectral_parameters``, which keeps the scale exact where zeta
+    rounds next to or onto 1/4 and at any density; the rates there are
+    small but not zero.
     """
     if not 0.0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")
-    rho = edge_correlation(field)
-    zeta = zeta_from_rho(rho)
-    scale = spectral_scale_from_rho(rho, zeta)
-    if rho > RHO_SATURATION:
-        delta = 8.0 * math.exp(-math.pi * scale)
-        return _sfcar_quadrature(scale, 0.25, snr, spec, delta)
-    return _sfcar_quadrature(scale, zeta, snr, spec, delta=1.0 - 4.0 * zeta)
+    delta, scale = spectral_parameters(field)
+    return _sfcar_quadrature(delta, scale, snr, spec)
 
 
 def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
@@ -176,4 +140,4 @@ def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
             )
         return kli, mi
 
-    return _doubling_rates(sums, spec, spec.points_per_axis, spec.relative_tolerance)
+    return _doubling_rates(sums, spec)

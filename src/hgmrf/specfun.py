@@ -2,10 +2,10 @@
 
 Exactly the primitives the rate formulas need: the complete elliptic
 integral of the first kind K(k) in the modulus convention (K(0) = pi/2,
-K(k) -> inf as k -> 1), the modified Bessel function K_1, the midpoint
-grid on (-pi, pi] and the convergence test of the doubling quadrature
-that ``hgmrf.rates`` runs.  All arithmetic is 64-bit binary floating
-point.
+K(k) -> inf as k -> 1), the modified Bessel function K_1 and
+1 - x K_1(x) without cancellation, the midpoint grid on (-pi, pi] and the
+convergence test of the doubling quadrature that ``hgmrf.rates`` runs.
+All arithmetic is 64-bit binary floating point.
 """
 
 import math
@@ -26,11 +26,13 @@ class NonConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Budget for the doubling midpoint rule on (-pi, pi]^2.
+    """Budget for the doubling quadrature of the rates.
 
-    points_per_axis is the starting grid side; the grid doubles until two
-    successive estimates agree to relative_tolerance or the side would
-    exceed max_points_per_axis.
+    points_per_axis is the starting node count per integration axis: of
+    the one-axis (w1) tanh-sinh rule of the symmetric first-order rates,
+    and the side of the 2-D midpoint grid of the general-CAR rates.  The
+    count doubles until two successive estimates agree to
+    relative_tolerance or it would exceed max_points_per_axis.
     """
 
     points_per_axis: int = 256
@@ -74,9 +76,10 @@ def elliptic_k(modulus: float) -> float:
     return math.pi / (2.0 * a)
 
 
-def _k1_series(x: float) -> float:
+def _k1_series_sums(x: float):
     # Ascending series: K1(x) = 1/x + ln(x/2) I1(x)
-    #   - (x/4) sum_k [psi(k+1)+psi(k+2)] (x^2/4)^k / (k! (k+1)!).
+    #   - (x/4) sum_k [psi(k+1)+psi(k+2)] (x^2/4)^k / (k! (k+1)!),
+    # with I1(x) = (x/2) sum_k (x^2/4)^k / (k! (k+1)!).  Returns both sums.
     q = 0.25 * x * x
     term = 1.0
     psi1 = -EULER_GAMMA
@@ -94,6 +97,11 @@ def _k1_series(x: float) -> float:
         sum_psi += contrib
         if abs(contrib) < 1e-18 * abs(sum_psi):
             break
+    return sum_i1, sum_psi
+
+
+def _k1_series(x: float) -> float:
+    sum_i1, sum_psi = _k1_series_sums(x)
     i1 = 0.5 * x * sum_i1
     return 1.0 / x + math.log(0.5 * x) * i1 - 0.25 * x * sum_psi
 
@@ -149,6 +157,25 @@ def bessel_k1(x: float) -> float:
     if x <= K1_CROSSOVER:
         return _k1_series(x)
     return _k1_continued_fraction(x)
+
+
+def one_minus_x_k1(x: float) -> float:
+    """1 - x K_1(x), without the cancellation of forming x K_1(x) first.
+
+    Below the crossover the leading 1 of the ascending series cancels
+    analytically: 1 - x K_1(x) = (x^2/4) [sum_psi - 2 ln(x/2) sum_I1], good
+    to ~1e-15 relative as long as the result is a normal double (x above
+    ~1e-154; it behaves like (x^2/2) ln(1/x)).  Above the crossover
+    x K_1(x) < 0.28 and the plain difference is exact to rounding.  Raises
+    ValueError for x <= 0.
+    """
+    x = float(x)
+    if not x > 0.0:
+        raise ValueError(f"argument must be positive, got {x}")
+    if x <= K1_CROSSOVER:
+        sum_i1, sum_psi = _k1_series_sums(x)
+        return 0.25 * x * x * (sum_psi - 2.0 * math.log(0.5 * x) * sum_i1)
+    return 1.0 - x * _k1_continued_fraction(x)
 
 
 def midpoint_grid(n: int) -> np.ndarray:

@@ -56,6 +56,18 @@ class TestRatesCommand:
         assert status == 2
         assert parse_single_row_csv(out)["converged"] == "false"
 
+    @pytest.mark.parametrize("alpha,spacing", [("0.01", "1"), ("1", "0.02"), ("1", "1e-6"),
+                                               ("1", "1e-10")])
+    def test_dense_spacing_converges(self, alpha, spacing, capsys):
+        status, out, _ = run_cli(
+            ["rates", "--alpha", alpha, "--spacing", spacing, "--snr", "1"], capsys
+        )
+        assert status == 0
+        row = parse_single_row_csv(out)
+        assert row["converged"] == "true"
+        assert 0.0 < float(row["kli"]) < float(row["mi"])
+        assert float(row["zeta"]) == 0.25
+
     def test_missing_snr_is_validation_error(self, capsys):
         status, _, err = run_cli(["rates", "--zeta", "0"], capsys)
         assert status == 1
@@ -69,6 +81,13 @@ class TestMapCommand:
         row = parse_single_row_csv(out)
         assert float(row["rho"]) == pytest.approx(0.6019072301972346, abs=1e-7)
         assert float(row["zeta"]) == pytest.approx(0.24921547956740725, abs=1e-9)
+
+    def test_rho_rounded_to_one_maps_to_quarter(self, capsys):
+        status, out, _ = run_cli(["map", "--alpha", "1e-100", "--spacing", "1e-100"], capsys)
+        assert status == 0
+        row = parse_single_row_csv(out)
+        assert float(row["rho"]) == 1.0
+        assert float(row["zeta"]) == 0.25
 
 
 class TestOracleCommand:

@@ -9,7 +9,9 @@ from hgmrf.physmap import (
     ZETA_MAX,
     PhysicalField,
     edge_correlation,
+    edge_decorrelation,
     rho_from_zeta,
+    spectral_parameters,
     spectral_scale_from_rho,
     zeta_from_rho,
     zeta_from_spacing,
@@ -52,6 +54,31 @@ class TestEdgeCorrelation:
             PhysicalField(alpha=1.0, spacing=math.inf)
         with pytest.raises(ValueError, match=r"alpha\*spacing"):
             PhysicalField(alpha=1e-200, spacing=1e-200)
+
+
+class TestEdgeDecorrelation:
+    @pytest.mark.parametrize("x", [1e-150, 1e-100, 1e-10, 1e-6, 0.3, 1.0, 2.0, 2.5, 10.0])
+    def test_matches_high_precision(self, x):
+        with mp.workdps(40):
+            ref = float(1 - mp.mpf(x) * mp.besselk(1, mp.mpf(x)))
+        assert edge_decorrelation(PhysicalField(alpha=1.0, spacing=x)) == pytest.approx(
+            ref, rel=2e-15)
+
+    def test_complements_edge_correlation(self):
+        for d in (0.01, 0.3, 1.0, 5.0):
+            field = PhysicalField(alpha=1.0, spacing=d)
+            assert edge_decorrelation(field) == pytest.approx(1.0 - edge_correlation(field),
+                                                              rel=1e-13)
+
+    @pytest.mark.parametrize("alpha_d", [1e-6, 1e-10])
+    def test_dense_scale_matches_high_precision(self, alpha_d):
+        # where zeta is 1/4 the scale is 1/(1 - rho); from a rounded rho it
+        # would be off by ~eps/(1 - rho): 1.5e-5 at 1e-6, all of it at 1e-10
+        with mp.workdps(40):
+            ref = float(1 / (1 - mp.mpf(alpha_d) * mp.besselk(1, mp.mpf(alpha_d))))
+        delta, scale = spectral_parameters(PhysicalField(alpha=1.0, spacing=alpha_d))
+        assert delta == 0.0
+        assert scale == pytest.approx(ref, rel=1e-14)
 
 
 class TestRhoFromZeta:
@@ -149,6 +176,11 @@ class TestZetaFromSpacing:
         zeta = zeta_from_spacing(PhysicalField(alpha=1.0, spacing=1.0))
         assert zeta == pytest.approx(zeta_from_rho(0.6019072301972346), abs=1e-12)
         assert zeta == pytest.approx(0.24921547956740725, abs=1e-9)
+
+    def test_defined_where_rho_rounds_to_one(self):
+        field = PhysicalField(alpha=1e-100, spacing=1e-100)
+        assert edge_correlation(field) == 1.0
+        assert zeta_from_spacing(field) == 0.25
 
     def test_strictly_decreasing_in_spacing(self):
         # restrict to the unsaturated range; beyond it the map is clamped

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -125,6 +126,109 @@ class TestHighPrecisionCrossValidation:
         res = sfcar_rates(zeta, snr)
         assert res.kli_rate == pytest.approx(ref_kli, rel=1e-12)
         assert res.mi_rate == pytest.approx(ref_mi, rel=1e-12)
+
+
+MP_DPS = 40
+
+
+def _mp_rates(delta, c):
+    """(kli, mi) at 1 - 4 zeta = delta and s = c/(1 - 2 zeta cos w1 - 2 zeta
+    cos w2), both mpmath numbers: the closed-form w2 integral, then mpmath's
+    adaptive quadrature over w1 in [0, pi], split at the widths sqrt(delta)
+    and sqrt(c) of the peak at w1 = 0 and at every decade below 0.1."""
+    def parts(w):
+        s2 = mp.sin(w / 2) ** 2
+        lo, hi = delta + (1 - delta) * s2, 1 + (1 - delta) * s2
+        a = (lo + hi) / 2
+        r0, r1 = mp.sqrt(lo * hi), mp.sqrt((lo + c) * (hi + c))
+        return mp.log((a + c + r1) / (a + r0)), c / r1
+
+    cuts = {mp.mpf(10) ** -k for k in range(1, 16)} | {mp.sqrt(delta), mp.sqrt(c)}
+    pts = [mp.mpf(0)] + sorted(p for p in cuts if 0 < p < 1) + [mp.mpf(1), mp.pi]
+    mi = mp.quad(lambda w: parts(w)[0], pts) / (2 * mp.pi)
+    kli = mi - mp.quad(lambda w: parts(w)[1], pts) / (2 * mp.pi)
+    return float(kli), float(mi)
+
+
+def _mp_rates_at_zeta(zeta, snr):
+    with mp.workdps(MP_DPS):
+        z = mp.mpf(zeta)
+        scale = 2 / mp.pi * mp.ellipk((4 * z) ** 2)  # parameter m = k^2
+        return _mp_rates(1 - 4 * z, mp.mpf(snr) / scale)
+
+
+def _mp_rates_at_spacing(x, snr):
+    # rho = x K1(x); solve rho = (g - 1)/((1 - delta) g), g = (2/pi) K(1 - delta),
+    # for delta = 1 - 4 zeta by bisection in log(delta), unless delta is
+    # below 1e-30, where g = 1/(1 - rho) to far below double precision
+    with mp.workdps(MP_DPS):
+        xm = mp.mpf(x)
+        rho = xm * mp.besselk(1, xm)
+        g = 1 / (1 - rho)
+        delta = mp.mpf(0)
+        if 8 * mp.exp(-mp.pi * g) > mp.mpf(10) ** -30:
+            def rho_of(t):
+                d = mp.exp(t)
+                gd = 2 / mp.pi * mp.ellipk((1 - d) ** 2)
+                return (gd - 1) / ((1 - d) * gd), gd
+
+            lo, hi = mp.log(mp.mpf(10) ** -35), mp.mpf(0)
+            for _ in range(150):  # rho_of falls as t grows
+                mid = (lo + hi) / 2
+                if rho_of(mid)[0] > rho:
+                    lo = mid
+                else:
+                    hi = mid
+            delta = mp.exp((lo + hi) / 2)
+            g = rho_of((lo + hi) / 2)[1]
+        return _mp_rates(delta, mp.mpf(snr) / g)
+
+
+ZETA_GRID = (0.0, 0.1, 0.24, 0.2499, 0.25 * (1 - 1e-8), float(np.nextafter(0.25, 0.0)))
+ALPHA_D_GRID = (0.01, 0.02, 0.296, 20.0 / 63.0, 0.5)
+
+
+class TestOneDimensionalPathAccuracy:
+    """Every point converges under the default budget and lands within
+    1e-13 of a 40-digit evaluation, from zeta = 0 to the last double below
+    1/4, on both sides of the saturation handoff and at dense spacing."""
+
+    @pytest.mark.parametrize("snr", [1e-4, 1.0, 1e5])
+    @pytest.mark.parametrize("zeta", ZETA_GRID)
+    def test_zeta_grid(self, zeta, snr):
+        res = sfcar_rates(zeta, snr)
+        assert res.converged
+        ref = _mp_rates_at_zeta(zeta, snr)
+        assert res.kli_rate == pytest.approx(ref[0], rel=1e-13)
+        assert res.mi_rate == pytest.approx(ref[1], rel=1e-13)
+
+    @pytest.mark.parametrize("zeta", [0.1, 0.2499])
+    def test_huge_snr_does_not_overflow(self, zeta):
+        # (A + c)^2 overflows from c ~ 1e154; the kernel must not form it
+        res = sfcar_rates(zeta, 1e300)
+        assert res.converged
+        ref = _mp_rates_at_zeta(zeta, 1e300)
+        assert res.kli_rate == pytest.approx(ref[0], rel=1e-13)
+        assert res.mi_rate == pytest.approx(ref[1], rel=1e-13)
+
+    @pytest.mark.parametrize("snr", [1.0, 10.0])
+    @pytest.mark.parametrize("alpha_d", ALPHA_D_GRID)
+    def test_spacing_grid(self, alpha_d, snr):
+        res = sfcar_rates_at_spacing(PhysicalField(1.0, alpha_d), snr)
+        assert res.converged
+        ref = _mp_rates_at_spacing(alpha_d, snr)
+        assert res.kli_rate == pytest.approx(ref[0], rel=1e-13)
+        assert res.mi_rate == pytest.approx(ref[1], rel=1e-13)
+
+    @pytest.mark.parametrize("alpha_d", [1e-6, 1e-10])
+    def test_dense_spacing(self, alpha_d):
+        # 1 - rho ~ 7e-12 and 1.2e-19: a scale built from a rounded rho
+        # would be off by eps/(1 - rho), all of it at 1e-10
+        res = sfcar_rates_at_spacing(PhysicalField(1.0, alpha_d), 1.0)
+        assert res.converged
+        ref = _mp_rates_at_spacing(alpha_d, 1.0)
+        assert res.kli_rate == pytest.approx(ref[0], rel=1e-12)
+        assert res.mi_rate == pytest.approx(ref[1], rel=1e-12)
 
 
 class TestGeneralCarCrossValidation:
