@@ -49,7 +49,6 @@ from .oracle import (
 from .physmap import (
     PhysicalField,
     edge_correlation,
-    edge_decorrelation,
     rho_from_zeta,
     zeta_from_rho,
     zeta_from_spacing,
@@ -85,7 +84,6 @@ __all__ = [
     "communication_energy",
     "density",
     "edge_correlation",
-    "edge_decorrelation",
     "elliptic_k",
     "evaluate_network",
     "exp_area_scaling",

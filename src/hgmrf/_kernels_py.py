@@ -15,33 +15,34 @@ from .specfun import midpoint_grid
 # Rows per block are chosen so a block never exceeds ~32M doubles.
 _BLOCK_ELEMS = 1 << 25
 
-#: The folded tanh-sinh rule spans t in [-4, 0]; its node nearest the
-#: origin sits at w1 = 2 pi / (1 + exp(pi sinh 4)) ~ 4e-37, so the part of
-#: (0, pi] it leaves out is far below rounding even where the integrand at
-#: w1 = 0 exceeds its mean by many orders of magnitude.
-_TANH_SINH_SPAN = 4.0
+#: The w1 rule runs x = log tan(w1/2) down from this value, where
+#: pi - w1 ~ 2 exp(-x) leaves out less than 1e-16 of the average.
+_X_TOP = 38.0
 
 #: 1/(2k+3)!: sinh(x) - x = x^3 sum_k x^(2k)/(2k+3)!, truncated where the
 #: next term is below 1e-19 relative for x < 1.
 _SINH_SERIES = tuple(1.0 / math.factorial(2 * k + 3) for k in range(10))
 
 
-def _tanh_sinh_rule(n: int):
-    """sin^2(w1/2) at the n nodes of the folded tanh-sinh rule, and their
+def _tanh_rule(n: int, width: float):
+    """sin^2(w1/2) at the n nodes of the tanh rule on (0, pi), and their
     weights, normalized to sum to 1.
 
-    w1 = 2 pi / (1 + exp(-pi sinh t)) is the tanh-sinh map of [0, 2 pi];
-    an integrand even about pi needs only its half t in [-4, 0], which
-    covers (0, pi] with nodes clustering double-exponentially at w1 = 0.
-    The trapezoid rule in t converges exponentially in n even at the |w1|
-    cusp of the zeta = 1/4 spectrum.
+    Writing tan(w1/2) = exp(x) gives sin^2(w1/2) = 1/(1 + exp(-2x)) and
+    dw1 = sech(x) dx; the integrand is analytic in the strip
+    |Im x| < pi/2, so the trapezoid rule in x converges exponentially.
+    Nodes are evenly spaced in log w1 below w1 ~ 1, which resolves a peak
+    of width ``width`` at w1 = 0 however deep it sits: x runs down to
+    log(eps * width), below which the integrand, bounded by its value at
+    w1 = 0, adds less than eps relative.  (A tanh-sinh map thins its
+    nodes in log w1 toward 0 instead; a peak of width 1e-40 there needs
+    thousands of them.)
     """
-    t = np.linspace(0.0, -_TANH_SINH_SPAN, n)
-    e = np.exp(np.pi * np.sinh(t))
-    weight = np.cosh(t) * e / (1.0 + e) ** 2  # dw1/dt up to a constant
-    weight[0] *= 0.5
-    weight[-1] *= 0.5
-    return np.sin(np.pi * e / (1.0 + e)) ** 2, weight / np.sum(weight)
+    x = np.linspace(_X_TOP, math.log(np.finfo(np.float64).eps * width), n)
+    ex = np.exp(x)
+    e = ex * ex  # underflows harmlessly to sin^2 = 0 deep in the tail
+    weight = ex / (1.0 + e)  # sech(x) / 2
+    return e / (1.0 + e), weight / np.sum(weight)
 
 
 def _sinh_minus_x(x: np.ndarray) -> np.ndarray:
@@ -69,11 +70,15 @@ def sfcar_grid_sums(c: float, delta: float, n: int):
     log(a - B cos w2), r0 = sqrt((A - B)(A + B)) and
     r1 = sqrt((A + c - B)(A + c + B)).  For Delta < 1 the KLI is formed as
     ((A + c)/r1) sinh^2(Delta/2) - (sinh Delta - Delta)/2, which does not
-    cancel at low SNR.  Returns (kli_mean, mi_mean).
+    cancel at low SNR.  The peak at w1 = 0 has width sqrt(max(c, delta)),
+    capped at 1, which sets the reach of the w1 rule.  Returns
+    (kli_mean, mi_mean).
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
-    sin2, weight = _tanh_sinh_rule(n)
+    # the smallest positive double keeps the log finite where c = delta = 0
+    width = math.sqrt(min(1.0, max(c, delta, math.ulp(0.0))))
+    sin2, weight = _tanh_rule(n, width)
     lo = delta + (1.0 - delta) * sin2
     hi = 1.0 + (1.0 - delta) * sin2
     r0 = np.sqrt(lo * hi)
@@ -89,7 +94,7 @@ def sfcar_grid_sums(c: float, delta: float, n: int):
 
 
 def _average(weight: np.ndarray, values: np.ndarray) -> float:
-    # summed as deviations from the value at w1 = pi, so that a constant
+    # summed as deviations from the value nearest w1 = pi, so that a constant
     # (zeta = 0) is averaged exactly
     return float(values[0] + weight @ (values - values[0]))
 

@@ -84,19 +84,21 @@ def zeta_from_rho(rho: float) -> float:
     rho = float(rho)
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
-    return _zeta(rho, 1.0 - rho)
+    return _zeta_delta(rho, 1.0 - rho)[0]
 
 
-def _zeta(rho: float, one_minus_rho: float) -> float:
-    # rho may have rounded to 1 where one_minus_rho is still positive; only
-    # the saturated branch, which rho ~ 1 always takes, reads one_minus_rho.
-    # That underflows to 0 below alpha*d ~ 1e-162, where zeta is 1/4 anyway.
+def _zeta_delta(rho: float, one_minus_rho: float) -> tuple[float, float]:
+    # (zeta, 1 - 4 zeta).  rho may have rounded to 1 where one_minus_rho is
+    # still positive; only the saturated branch, which rho ~ 1 always takes,
+    # reads one_minus_rho.  There 1/4 - zeta = 2 exp(-pi/(1 - rho)) to
+    # ~1e-12 relative, below one ulp of 1/4, so 1 - 4 zeta comes from that
+    # form and not from the rounded zeta.  exp(-pi/(1 - rho)) underflows to
+    # 0 below alpha*d ~ 0.05, and 1 - rho itself below alpha*d ~ 1e-162.
     if rho == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if rho > RHO_SATURATION:
-        if one_minus_rho == 0.0:
-            return 0.25
-        return 0.25 - 2.0 * math.exp(-math.pi / one_minus_rho)
+        gap = 2.0 * math.exp(-math.pi / one_minus_rho) if one_minus_rho > 0.0 else 0.0
+        return 0.25 - gap, 4.0 * gap
     lo, hi = 0.0, ZETA_MAX
     while True:
         mid = 0.5 * (lo + hi)
@@ -113,7 +115,7 @@ def _zeta(rho: float, one_minus_rho: float) -> float:
     # attainable answer.
     if residual > 1e-12 and residual > (r_hi - r_lo):
         raise ArithmeticError(f"bisection residual above 1e-12 for rho={rho!r}")
-    return zeta
+    return zeta, 1.0 - 4.0 * zeta
 
 
 def edge_correlation(field: PhysicalField) -> float:
@@ -139,29 +141,29 @@ def edge_decorrelation(field: PhysicalField) -> float:
     return one_minus_x_k1(field.alpha * field.spacing)
 
 
-def _scale(zeta: float, one_minus_rho: float) -> float:
-    den = (1.0 - 4.0 * zeta) + 4.0 * zeta * one_minus_rho
-    return 1.0 / den if den > 0.0 else math.inf
-
-
-def spectral_scale_from_rho(rho: float, zeta: float | None = None) -> float:
-    """Normalized power scale (2/pi) K(4 zeta) at zeta = zeta_from_rho(rho).
+def spectral_parameters(field: PhysicalField) -> tuple[float, float, float]:
+    """(zeta, 1 - 4 zeta, (2/pi) K(4 zeta)) of the sampled field: its edge
+    dependence factor and the two numbers its rates depend on besides the
+    SNR.
 
     The forward map rho = (g - 1)/(4 zeta g), g = (2/pi) K(4 zeta), gives
-    g = 1/(1 - 4 zeta rho) = 1/((1 - 4 zeta) + 4 zeta (1 - rho)) exactly.
-    The second form is a sum of two nonnegative terms, so it stays accurate
-    where zeta is rounded within a few ulps of 1/4: there 1 - 4 zeta is
-    quantized to multiples of 2.2e-16 and K(4 zeta) is off by up to 1e-2
-    relative.  Once zeta rounds to 1/4 it is 1/(1 - rho), the saturated
-    power scale.  Pass zeta if the caller already holds zeta_from_rho(rho);
-    it is computed otherwise.
+    g = 1/((1 - 4 zeta) + 4 zeta (1 - rho)) exactly.  That sum of two
+    nonnegative terms, with 1 - rho from ``edge_decorrelation``, keeps
+    full accuracy where zeta is rounded next to or onto 1/4 (there
+    1 - 4 zeta is quantized to multiples of 1.1e-16 and K(4 zeta) is off
+    by up to 1e-2) and at any density (where 1/(1 - rho) with a rounded
+    rho would be off by ~eps/(1 - rho)).  Past the saturation handoff
+    (alpha*d below ~0.2945) 1 - 4 zeta = 8 exp(-pi/(1 - rho)) comes from
+    the asymptotic form, so it is right also where zeta has rounded to
+    1/4.  Below the handoff 1 - 4 zeta keeps the rounding of the bisected
+    zeta, up to ~5e-17 absolute, which moves the rates by up to about that
+    over max(SNR/g, 1 - 4 zeta): 7e-7 in the KLI at alpha*d = 0.296 and
+    SNR 1e-8.
     """
-    rho = float(rho)
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    if zeta is None:
-        zeta = zeta_from_rho(rho)
-    return _scale(zeta, 1.0 - rho)
+    one_minus_rho = edge_decorrelation(field)
+    zeta, delta = _zeta_delta(edge_correlation(field), one_minus_rho)
+    den = delta + 4.0 * zeta * one_minus_rho
+    return zeta, delta, (1.0 / den if den > 0.0 else math.inf)
 
 
 def zeta_from_spacing(field: PhysicalField) -> float:
@@ -172,22 +174,7 @@ def zeta_from_spacing(field: PhysicalField) -> float:
     as the exact zero-information limit).  Defined for every valid field,
     also where rho rounds to 1.
     """
-    return _zeta(edge_correlation(field), edge_decorrelation(field))
-
-
-def spectral_parameters(field: PhysicalField) -> tuple[float, float]:
-    """(1 - 4 zeta, (2/pi) K(4 zeta)) of the sampled field, the two numbers
-    its rates depend on besides the SNR.
-
-    zeta is ``zeta_from_spacing(field)``; the scale is formed as in
-    ``spectral_scale_from_rho`` with 1 - rho from ``edge_decorrelation``,
-    so it keeps full accuracy at any density (where 1/(1 - rho) with a
-    rounded rho would be off by ~eps/(1 - rho)).  Where zeta rounds to 1/4
-    the first number is 0, within 1e-15 of its true value.
-    """
-    one_minus_rho = edge_decorrelation(field)
-    zeta = _zeta(edge_correlation(field), one_minus_rho)
-    return 1.0 - 4.0 * zeta, _scale(zeta, one_minus_rho)
+    return spectral_parameters(field)[0]
 
 
 def _assert_monotone_forward_map():

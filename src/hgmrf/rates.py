@@ -17,18 +17,21 @@ For the symmetric first-order field the SNR and correlation separate:
 
 which is the canonical evaluation path here.  Its w2 integral is
 closed-form (see ``_kernels_py.sfcar_grid_sums``), which leaves an average
-over w1 taken by a tanh-sinh rule whose nodes cluster double-exponentially
-at w1 = 0, where the spectrum peaks as zeta -> 1/4.  The node count
-doubles from ``points_per_axis`` until two successive estimates agree to
-the relative tolerance; no regime needs a wider tolerance or a separate
-branch.  At zeta = 1/4 exactly both rates are served as their closed-form
-limit 0.
+over w1 taken by a trapezoid rule in log tan(w1/2), whose nodes reach
+down to the width sqrt(max(SNR/scale, 1 - 4 zeta)) of the spectral peak
+at w1 = 0, however small.  The node count doubles from
+``points_per_axis`` until two successive estimates agree to the relative
+tolerance, down to rates at the bottom of the normal double range: the
+kernel keeps full relative precision there, so no regime needs a wider
+tolerance, an absolute floor or a separate branch.  At zeta = 1/4 exactly
+both rates are served as their closed-form limit 0.
 
 The general-CAR route through f and sigma^2 is kept as an independent
 implementation for cross-validation: a doubling 2-D midpoint rule.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _kernels_py
@@ -68,14 +71,23 @@ def kli_integrand(s):
     return float(out) if out.ndim == 0 else out
 
 
-def _doubling_rates(eval_sums, spec: QuadratureSpec) -> RateResult:
+#: Estimates whose magnitude and change are both at most the floor count as
+#: converged zeros (a relative test is meaningless at roundoff scale).  The
+#: 2-D midpoint sums of the general-CAR rates carry roundoff far above the
+#: smallest doubles; the SFCAR kernel keeps full relative precision down to
+#: the bottom of the normal range.
+_CAR_ZERO_FLOOR = 1e-12
+_SFCAR_ZERO_FLOOR = sys.float_info.min
+
+
+def _doubling_rates(eval_sums, spec: QuadratureSpec, zero_floor: float) -> RateResult:
     n = spec.points_per_axis
     prev = eval_sums(n)
     while 2 * n <= spec.max_points_per_axis:
         n *= 2
         cur = eval_sums(n)
-        if (close_enough(prev[0], cur[0], spec.relative_tolerance)
-                and close_enough(prev[1], cur[1], spec.relative_tolerance)):
+        if (close_enough(prev[0], cur[0], spec.relative_tolerance, zero_floor)
+                and close_enough(prev[1], cur[1], spec.relative_tolerance, zero_floor)):
             return RateResult(cur[0], cur[1], n, True)
         prev = cur
     return RateResult(prev[0], prev[1], n, False)
@@ -85,7 +97,8 @@ def _sfcar_quadrature(delta: float, scale: float, snr: float,
                       spec: QuadratureSpec) -> RateResult:
     # the one rate path of the symmetric first-order field: delta = 1 - 4 zeta
     c = snr / scale
-    return _doubling_rates(lambda n: _kernels_py.sfcar_grid_sums(c, delta, n), spec)
+    return _doubling_rates(lambda n: _kernels_py.sfcar_grid_sums(c, delta, n), spec,
+                           _SFCAR_ZERO_FLOOR)
 
 
 def sfcar_rates(zeta: float, snr: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> RateResult:
@@ -117,7 +130,7 @@ def sfcar_rates_at_spacing(field: PhysicalField, snr: float,
     """
     if not 0.0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")
-    delta, scale = spectral_parameters(field)
+    _zeta, delta, scale = spectral_parameters(field)
     return _sfcar_quadrature(delta, scale, snr, spec)
 
 
@@ -140,4 +153,4 @@ def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
             )
         return kli, mi
 
-    return _doubling_rates(sums, spec)
+    return _doubling_rates(sums, spec, _CAR_ZERO_FLOOR)

@@ -29,7 +29,7 @@ class QuadratureSpec:
     """Budget for the doubling quadrature of the rates.
 
     points_per_axis is the starting node count per integration axis: of
-    the one-axis (w1) tanh-sinh rule of the symmetric first-order rates,
+    the one-axis (w1) tanh rule of the symmetric first-order rates,
     and the side of the 2-D midpoint grid of the general-CAR rates.  The
     count doubles until two successive estimates agree to
     relative_tolerance or it would exceed max_points_per_axis.
@@ -49,10 +49,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-# Estimates whose magnitude and change are both below this are treated as
-# converged zeros (a pure relative test is meaningless at roundoff scale).
-_ZERO_FLOOR = 1e-12
 
 
 def elliptic_k(modulus: float) -> float:
@@ -186,10 +182,11 @@ def midpoint_grid(n: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * (np.arange(n, dtype=np.float64) + 0.5) / n
 
 
-def close_enough(a: float, b: float, rtol: float) -> bool:
-    """Relative agreement test with a floor for converged zeros."""
+def close_enough(a: float, b: float, rtol: float, zero_floor: float) -> bool:
+    """Relative agreement test; estimates whose magnitude and change are
+    both at most zero_floor count as converged zeros."""
     diff = abs(a - b)
     scale = max(abs(a), abs(b))
     if diff <= rtol * scale:
         return True
-    return scale <= _ZERO_FLOOR and diff <= _ZERO_FLOOR
+    return scale <= zero_floor and diff <= zero_floor

@@ -12,7 +12,6 @@ from hgmrf.physmap import (
     edge_decorrelation,
     rho_from_zeta,
     spectral_parameters,
-    spectral_scale_from_rho,
     zeta_from_rho,
     zeta_from_spacing,
 )
@@ -59,10 +58,11 @@ class TestEdgeCorrelation:
 class TestEdgeDecorrelation:
     @pytest.mark.parametrize("x", [1e-150, 1e-100, 1e-10, 1e-6, 0.3, 1.0, 2.0, 2.5, 10.0])
     def test_matches_high_precision(self, x):
-        with mp.workdps(40):
+        # 1 - x K1(x) ~ x^2 ln(1/x) needs 2 log10(1/x) digits beyond the 40
+        with mp.workdps(40 + 2 * max(0, -math.floor(math.log10(x)))):
             ref = float(1 - mp.mpf(x) * mp.besselk(1, mp.mpf(x)))
         assert edge_decorrelation(PhysicalField(alpha=1.0, spacing=x)) == pytest.approx(
-            ref, rel=2e-15)
+            ref, rel=2e-15, abs=0.0)
 
     def test_complements_edge_correlation(self):
         for d in (0.01, 0.3, 1.0, 5.0):
@@ -76,7 +76,7 @@ class TestEdgeDecorrelation:
         # would be off by ~eps/(1 - rho): 1.5e-5 at 1e-6, all of it at 1e-10
         with mp.workdps(40):
             ref = float(1 / (1 - mp.mpf(alpha_d) * mp.besselk(1, mp.mpf(alpha_d))))
-        delta, scale = spectral_parameters(PhysicalField(alpha=1.0, spacing=alpha_d))
+        _zeta, delta, scale = spectral_parameters(PhysicalField(alpha=1.0, spacing=alpha_d))
         assert delta == 0.0
         assert scale == pytest.approx(ref, rel=1e-14)
 
@@ -138,30 +138,52 @@ class TestZetaFromRho:
     @pytest.mark.parametrize("alpha_d", [0.296, 20.0 / 63.0])
     def test_scale_near_handoff_matches_high_precision_solve(self, alpha_d):
         # Just above the handoff zeta rounds to within a few ulps of 1/4;
-        # the scale must not inherit that rounding.  Reference: solve
-        # rho = (g - 1)/((1 - delta) g), g = (2/pi) K(1 - delta), for
-        # delta = 1 - 4 zeta by bisection in log(delta) at 40 digits.
-        rho = edge_correlation(PhysicalField(alpha=1.0, spacing=alpha_d))
-        with mp.workdps(40):
-            def rho_of(t):
-                delta = mp.exp(t)
-                g = 2 / mp.pi * mp.ellipk((1 - delta) ** 2)
-                return (g - 1) / ((1 - delta) * g), g
+        # the scale must not inherit that rounding.
+        field = PhysicalField(alpha=1.0, spacing=alpha_d)
+        _delta, ref = _mp_delta_and_scale(edge_correlation(field))
+        assert spectral_parameters(field)[2] == pytest.approx(ref, rel=1e-12)
 
-            lo, hi = mp.log(mp.mpf(10) ** -35), mp.mpf(0)
-            for _ in range(150):  # rho_of falls as t grows
-                mid = (lo + hi) / 2
-                if rho_of(mid)[0] > rho:
-                    lo = mid
-                else:
-                    hi = mid
-            ref = float(rho_of((lo + hi) / 2)[1])
-        assert spectral_scale_from_rho(rho) == pytest.approx(ref, rel=1e-12)
+    @pytest.mark.parametrize("alpha_d", [0.2, 0.29])
+    def test_saturated_delta_matches_high_precision_solve(self, alpha_d):
+        # past the handoff zeta is 1/4 or one ulp below it, but the rates
+        # at low SNR still depend on the true 1 - 4 zeta
+        field = PhysicalField(alpha=1.0, spacing=alpha_d)
+        assert edge_correlation(field) > RHO_SATURATION
+        ref, _scale = _mp_delta_and_scale(edge_correlation(field))
+        assert spectral_parameters(field)[1] == pytest.approx(ref, rel=1e-11, abs=0.0)
 
     def test_scale_continuous_across_saturation(self):
-        below = spectral_scale_from_rho(np.nextafter(RHO_SATURATION, 0.0))
-        above = spectral_scale_from_rho(np.nextafter(RHO_SATURATION, 1.0))
+        # the two adjacent spacings between which rho crosses RHO_SATURATION
+        lo, hi = 0.28, 0.32  # rho falls as the spacing grows
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if edge_correlation(PhysicalField(alpha=1.0, spacing=mid)) > RHO_SATURATION:
+                lo = mid
+            else:
+                hi = mid
+        above = spectral_parameters(PhysicalField(alpha=1.0, spacing=lo))[2]
+        below = spectral_parameters(PhysicalField(alpha=1.0, spacing=hi))[2]
         assert below == pytest.approx(above, rel=1e-6)
+
+
+def _mp_delta_and_scale(rho):
+    """(1 - 4 zeta, (2/pi) K(4 zeta)) at edge correlation rho: solve
+    rho = (g - 1)/((1 - delta) g), g = (2/pi) K(1 - delta), for delta by
+    bisection in log(delta) at 40 digits."""
+    with mp.workdps(40):
+        def rho_of(t):
+            delta = mp.exp(t)
+            g = 2 / mp.pi * mp.ellipk((1 - delta) ** 2)
+            return (g - 1) / ((1 - delta) * g), g
+
+        lo, hi = mp.log(mp.mpf(10) ** -60), mp.mpf(0)
+        for _ in range(200):  # rho_of falls as t grows
+            mid = (lo + hi) / 2
+            if rho_of(mid)[0] > rho:
+                lo = mid
+            else:
+                hi = mid
+        return float(mp.exp((lo + hi) / 2)), float(rho_of((lo + hi) / 2)[1])
 
 
 class TestZetaFromSpacing:

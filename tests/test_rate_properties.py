@@ -38,6 +38,15 @@ def test_rates_at_spacing_converge_with_kli_below_mi(log10_alpha_d, log10_snr):
 
 
 @SETTINGS
+@given(st.floats(-150.0, -6.0), log10_snrs)
+def test_rates_at_dense_spacing_converge_with_kli_below_mi(log10_alpha_d, log10_snr):
+    # the peak at w1 = 0 narrows to ~1e-150 here; the w1 rule must reach it
+    res = sfcar_rates_at_spacing(PhysicalField(1.0, 10.0**log10_alpha_d), 10.0**log10_snr)
+    assert res.converged
+    assert 0.0 <= res.kli_rate <= res.mi_rate
+
+
+@SETTINGS
 @given(zetas, log10_snrs, st.floats(1e-3, 2.0))
 def test_rates_nondecreasing_in_snr(zeta, log10_snr, log10_step):
     # a step of at least 0.23% in SNR moves both rates far above rounding
@@ -56,5 +65,5 @@ def test_rates_match_torus_oracle(zeta, log10_snr):
     noise = NoiseModel(sigma2=1.0)
     torus = finite_lattice_rates(sfcar_from_snr(snr, zeta, noise), noise, LatticeSpec(n=1024))
     res = sfcar_rates(zeta, snr)
-    assert res.kli_rate == pytest.approx(torus.kli_rate, rel=1e-9)
-    assert res.mi_rate == pytest.approx(torus.mi_rate, rel=1e-9)
+    assert res.kli_rate == pytest.approx(torus.kli_rate, rel=1e-9, abs=0.0)
+    assert res.mi_rate == pytest.approx(torus.mi_rate, rel=1e-9, abs=0.0)

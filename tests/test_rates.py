@@ -87,6 +87,13 @@ class TestSfcarRates:
         assert not res.converged
         assert res.quadrature_points == 16
 
+    def test_tiny_rates_need_relative_agreement(self):
+        # rates ~1e-80 and ~1e-78 are not converged zeros: 8 and 16 nodes
+        # cannot reach the ~1e-39-wide peak, and no absolute floor may
+        # pass them
+        res = sfcar_rates_at_spacing(PhysicalField(1.0, 1e-40), 1.0, QuadratureSpec(8, 1e-9, 16))
+        assert not res.converged
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sfcar_rates(0.26, 1.0)
@@ -135,7 +142,15 @@ def _mp_rates(delta, c):
     """(kli, mi) at 1 - 4 zeta = delta and s = c/(1 - 2 zeta cos w1 - 2 zeta
     cos w2), both mpmath numbers: the closed-form w2 integral, then mpmath's
     adaptive quadrature over w1 in [0, pi], split at the widths sqrt(delta)
-    and sqrt(c) of the peak at w1 = 0 and at every decade below 0.1."""
+    and sqrt(c) of the peak at w1 = 0 and at every decade below 0.1.
+    Where c < 1 the KLI is ~c times the MI and the log's argument is
+    1 + O(c), so log10(1/c) digits are added to the working precision."""
+    extra = max(0, int(-mp.log10(c))) if c > 0 else 0
+    with mp.workdps(mp.mp.dps + extra):
+        return _mp_rates_split(delta, c)
+
+
+def _mp_rates_split(delta, c):
     def parts(w):
         s2 = mp.sin(w / 2) ** 2
         lo, hi = delta + (1 - delta) * s2, 1 + (1 - delta) * s2
@@ -160,11 +175,14 @@ def _mp_rates_at_zeta(zeta, snr):
 def _mp_rates_at_spacing(x, snr):
     # rho = x K1(x); solve rho = (g - 1)/((1 - delta) g), g = (2/pi) K(1 - delta),
     # for delta = 1 - 4 zeta by bisection in log(delta), unless delta is
-    # below 1e-30, where g = 1/(1 - rho) to far below double precision
-    with mp.workdps(MP_DPS):
+    # below 1e-30, where g = 1/(1 - rho) to far below double precision.
+    # 1 - rho ~ x^2 ln(1/x) is formed with 2 log10(1/x) extra digits.
+    with mp.workdps(MP_DPS + 2 * max(0, -math.floor(math.log10(x)))):
         xm = mp.mpf(x)
-        rho = xm * mp.besselk(1, xm)
-        g = 1 / (1 - rho)
+        one_minus_rho = 1 - xm * mp.besselk(1, xm)
+    with mp.workdps(MP_DPS):
+        rho = 1 - one_minus_rho
+        g = 1 / one_minus_rho
         delta = mp.mpf(0)
         if 8 * mp.exp(-mp.pi * g) > mp.mpf(10) ** -30:
             def rho_of(t):
@@ -191,7 +209,8 @@ ALPHA_D_GRID = (0.01, 0.02, 0.296, 20.0 / 63.0, 0.5)
 class TestOneDimensionalPathAccuracy:
     """Every point converges under the default budget and lands within
     1e-13 of a 40-digit evaluation, from zeta = 0 to the last double below
-    1/4, on both sides of the saturation handoff and at dense spacing."""
+    1/4, on both sides of the saturation handoff and at dense spacing.
+    abs=0 keeps pytest.approx from passing rates below 1e-12 outright."""
 
     @pytest.mark.parametrize("snr", [1e-4, 1.0, 1e5])
     @pytest.mark.parametrize("zeta", ZETA_GRID)
@@ -199,8 +218,8 @@ class TestOneDimensionalPathAccuracy:
         res = sfcar_rates(zeta, snr)
         assert res.converged
         ref = _mp_rates_at_zeta(zeta, snr)
-        assert res.kli_rate == pytest.approx(ref[0], rel=1e-13)
-        assert res.mi_rate == pytest.approx(ref[1], rel=1e-13)
+        assert res.kli_rate == pytest.approx(ref[0], rel=1e-13, abs=0.0)
+        assert res.mi_rate == pytest.approx(ref[1], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("zeta", [0.1, 0.2499])
     def test_huge_snr_does_not_overflow(self, zeta):
@@ -208,8 +227,8 @@ class TestOneDimensionalPathAccuracy:
         res = sfcar_rates(zeta, 1e300)
         assert res.converged
         ref = _mp_rates_at_zeta(zeta, 1e300)
-        assert res.kli_rate == pytest.approx(ref[0], rel=1e-13)
-        assert res.mi_rate == pytest.approx(ref[1], rel=1e-13)
+        assert res.kli_rate == pytest.approx(ref[0], rel=1e-13, abs=0.0)
+        assert res.mi_rate == pytest.approx(ref[1], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("snr", [1.0, 10.0])
     @pytest.mark.parametrize("alpha_d", ALPHA_D_GRID)
@@ -217,18 +236,30 @@ class TestOneDimensionalPathAccuracy:
         res = sfcar_rates_at_spacing(PhysicalField(1.0, alpha_d), snr)
         assert res.converged
         ref = _mp_rates_at_spacing(alpha_d, snr)
-        assert res.kli_rate == pytest.approx(ref[0], rel=1e-13)
-        assert res.mi_rate == pytest.approx(ref[1], rel=1e-13)
+        assert res.kli_rate == pytest.approx(ref[0], rel=1e-13, abs=0.0)
+        assert res.mi_rate == pytest.approx(ref[1], rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("alpha_d", [1e-6, 1e-10])
+    @pytest.mark.parametrize("alpha_d", [1e-6, 1e-10, 1e-40, 1e-100])
     def test_dense_spacing(self, alpha_d):
         # 1 - rho ~ 7e-12 and 1.2e-19: a scale built from a rounded rho
-        # would be off by eps/(1 - rho), all of it at 1e-10
+        # would be off by eps/(1 - rho), all of it at 1e-10.  At 1e-40 and
+        # 1e-100 the peak at w1 = 0 is ~1e-39 and ~1e-99 wide, and the MI
+        # gathers c/w1 over every decade above it.
         res = sfcar_rates_at_spacing(PhysicalField(1.0, alpha_d), 1.0)
         assert res.converged
         ref = _mp_rates_at_spacing(alpha_d, 1.0)
-        assert res.kli_rate == pytest.approx(ref[0], rel=1e-12)
-        assert res.mi_rate == pytest.approx(ref[1], rel=1e-12)
+        assert res.kli_rate == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+        assert res.mi_rate == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+
+    def test_tiny_snr_past_saturation_handoff(self):
+        # zeta rounds to one ulp below 1/4 at alpha*d = 0.29, where the true
+        # 1 - 4 zeta ~ 4.5e-17 exceeds c = SNR/scale ~ 8e-21 and sets the
+        # width of the peak
+        res = sfcar_rates_at_spacing(PhysicalField(1.0, 0.29), 1e-19)
+        assert res.converged
+        ref = _mp_rates_at_spacing(0.29, 1e-19)
+        assert res.kli_rate == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+        assert res.mi_rate == pytest.approx(ref[1], rel=1e-12, abs=0.0)
 
 
 class TestGeneralCarCrossValidation:
