@@ -6,8 +6,8 @@ mutual-information rates for conditionally autoregressive lattice fields
 observed in Gaussian noise, maps physical diffusion-field parameters to
 lattice correlation, evaluates a minimum-hop-routing energy model, and
 fits the resulting scaling laws.  Every spectral formula is cross-checked
-against an exact finite-lattice oracle (block-circulant eigenvalues,
-dense free-boundary algebra, and Monte Carlo likelihood ratios).
+against an exact finite-lattice oracle (closed-form precision eigenvalues
+on a torus and with free boundaries, and Monte Carlo likelihood ratios).
 """
 
 from .car import (

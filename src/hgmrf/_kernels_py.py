@@ -2,8 +2,9 @@
 
 ``sfcar_grid_sums`` averages the symmetric first-order integrands over w1
 alone, the w2 integral being closed-form; ``car_grid_sums`` sums a general
-CAR field over a 2-D midpoint grid, blocked over rows to bound memory.
-Every reduction runs in a fixed order, so repeated calls are bit-identical.
+CAR field over a 2-D midpoint grid, blocked over rows to bound memory, with
+the precision symbol on each block from ``car_symbol``.  Every reduction
+runs in a fixed order, so repeated calls are bit-identical.
 """
 
 import math
@@ -12,8 +13,8 @@ import numpy as np
 
 from .specfun import midpoint_grid
 
-# Rows per block are chosen so a block never exceeds ~32M doubles.
-_BLOCK_ELEMS = 1 << 25
+# Rows per block are chosen so a block never exceeds ~256K doubles.
+_BLOCK_ELEMS = 1 << 18
 
 #: The w1 rule runs x = log tan(w1/2) down from this value, where
 #: pi - w1 ~ 2 exp(-x) leaves out less than 1e-16 of the average.
@@ -99,6 +100,20 @@ def _average(weight: np.ndarray, values: np.ndarray) -> float:
     return float(values[0] + weight @ (values - values[0]))
 
 
+def car_symbol(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray,
+               w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Precision symbol sum_t theta[t]*cos(oi[t]*w1 + oj[t]*w2) on the grid
+    w1 x w2, shape (len(w1), len(w2)).
+
+    cos(a + b) = cos a cos b - sin a sin b makes the sum two matrix
+    products, (len(w1) x T) @ (T x len(w2)), so only (len(w1) + len(w2)) T
+    sines and cosines are taken instead of len(w1) len(w2) T.
+    """
+    a = np.multiply.outer(w1, oi)
+    b = np.multiply.outer(oj, w2)
+    return (np.cos(a) * theta) @ np.cos(b) - (np.sin(a) * theta) @ np.sin(b)
+
+
 def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: float, n: int):
     """Midpoint-grid means for den(w) = sum_t theta[t]*cos(oi[t]*w1 + oj[t]*w2),
     s = 1/(sigma2*den).  Returns (kli_mean, mi_mean, min_den)."""
@@ -110,21 +125,20 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
     if oi.shape != theta.shape or oj.shape != theta.shape:
         raise ValueError("tap arrays must have equal length")
     w = midpoint_grid(n)
-    rows = max(1, min(n, _BLOCK_ELEMS // (max(n, 1) * max(len(theta), 1))))
+    rows = max(1, min(n, _BLOCK_ELEMS // n))
     kli_parts = []
     mi_parts = []
     min_den = np.inf
     for lo in range(0, n, rows):
-        phase = (
-            oi[None, None, :] * w[lo : lo + rows, None, None]
-            + oj[None, None, :] * w[None, :, None]
-        )
-        den = np.einsum("t,ijt->ij", theta, np.cos(phase))
-        min_den = min(min_den, float(den.min()))
-        pos = den > 0.0
-        s = np.where(pos, 1.0 / (sigma2 * np.where(pos, den, 1.0)), 0.0)
+        den = car_symbol(theta, oi, oj, w[lo : lo + rows], w)
+        low = float(den.min())
+        min_den = min(min_den, low)
+        if low <= 0.0:
+            # s = 0 leaves the cells where the symbol is not positive out of the sums
+            den = np.where(den > 0.0, den, np.inf)
+        s = 1.0 / (sigma2 * den)
         halflog = 0.5 * np.log1p(s)
-        mi_parts.append(np.sum(halflog[pos]))
-        kli_parts.append(np.sum((halflog - 0.5 * s / (1.0 + s))[pos]))
+        mi_parts.append(np.sum(halflog))
+        kli_parts.append(np.sum(halflog - 0.5 * s / (1.0 + s)))
     norm = float(n) * float(n)
     return float(np.sum(kli_parts)) / norm, float(np.sum(mi_parts)) / norm, min_den

@@ -19,6 +19,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
+from ._kernels_py import car_symbol
 from .specfun import elliptic_k, midpoint_grid
 
 Offset = Tuple[int, int]
@@ -68,7 +69,7 @@ class CarCoefficients:
         self._vals = np.array(list(self._theta.values()), dtype=np.float64)
         if validate:
             w = midpoint_grid(_VALIDATION_GRID)
-            den = self.denominator(w[:, None], w[None, :])
+            den = car_symbol(self._vals, self._oi, self._oj, w, w)
             if not np.all(den > 0.0):
                 raise ValueError(
                     "invalid autoregression: precision symbol is not positive "

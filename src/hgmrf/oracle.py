@@ -1,16 +1,19 @@
 """Exact finite-lattice ground truth for the asymptotic rate formulas.
 
-On an n-by-n lattice wrapped on a torus, the symmetric first-order
-precision matrix is block circulant and its eigenvalues are known in
-closed form:
+The symmetric first-order precision on an n-by-n lattice is
+kappa (I - zeta (T (x) I + I (x) T)), with T the 1-D neighbor matrix, so
+its eigenvalues are known in closed form for both boundaries:
 
-    q_kl = kappa (1 - 2 zeta cos(2 pi k/n) - 2 zeta cos(2 pi l/n)),
+    q_kl = kappa (1 - 2 zeta cos(theta_k) - 2 zeta cos(theta_l)),
 
-so per-node KLI and MI at finite n are exact sums over (k, l) -- a
-rectangle rule whose n -> infinity limit is the spectral integral.  A
-dense free-boundary mode (taps truncated at the edge) cross-checks
-boundary effects, and a Monte Carlo log-likelihood-ratio simulation under
-the noise-only hypothesis verifies the almost-sure limit the KLI rate is
+with theta_k = 2 pi k/n, k = 0..n-1, on a torus (T circulant, diagonalised
+by the DFT) and theta_k = pi k/(n+1), k = 1..n, with free boundaries (taps
+truncated at the edge, T the path adjacency, diagonalised by the DST-I;
+Strang, "The Discrete Cosine Transform", SIAM Rev. 41, 1999).  Per-node KLI
+and MI at finite n are exact sums of the spectral integrands over q_kl --
+on the torus a rectangle rule whose n -> infinity limit is the spectral
+integral.  A Monte Carlo log-likelihood-ratio simulation under the
+noise-only hypothesis verifies the almost-sure limit the KLI rate is
 defined by.
 """
 
@@ -18,17 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .car import NoiseModel, SfcarParams
 from .rates import RateResult, kli_integrand
 
-#: Elements per block of the torus sums.
-_TORUS_BLOCK_ELEMS = 1 << 15
-
-#: Free-boundary mode builds dense n^2 x n^2 matrices; keep it desk-sized.
-FREE_BOUNDARY_MAX_SIDE = 64
+#: Elements per block of the eigenvalue sums.
+_BLOCK_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -43,10 +41,6 @@ class LatticeSpec:
             raise ValueError("lattice side must be >= 2")
         if self.boundary not in ("torus", "free"):
             raise ValueError("boundary must be 'torus' or 'free'")
-        if self.boundary == "free" and self.n > FREE_BOUNDARY_MAX_SIDE:
-            raise ValueError(
-                f"free-boundary mode is dense; n must be <= {FREE_BOUNDARY_MAX_SIDE}"
-            )
 
 
 @dataclass(frozen=True)
@@ -63,6 +57,19 @@ class MonteCarloSpec:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
+def _eigenvalues(params: SfcarParams, ck: np.ndarray, cl: np.ndarray) -> np.ndarray:
+    # q_kl on the grid of 1-D eigenfrequency cosines ck x cl
+    return params.kappa * (1.0 - 2.0 * params.zeta * ck[:, None] - 2.0 * params.zeta * cl[None, :])
+
+
+def _cosines(n: int, boundary: str) -> np.ndarray:
+    """cos(theta_k) of the 1-D eigenfrequencies: DFT on a torus, DST-I with
+    free boundaries."""
+    if boundary == "free":
+        return np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+    return np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
 def torus_eigenvalues(params: SfcarParams, n: int) -> np.ndarray:
     """Precision eigenvalues q_kl of the torus-wrapped field, shape (n, n).
 
@@ -71,70 +78,31 @@ def torus_eigenvalues(params: SfcarParams, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("lattice side must be >= 2")
-    c = np.cos(2.0 * np.pi * np.arange(n) / n)
-    q = params.kappa * (1.0 - 2.0 * params.zeta * c[:, None] - 2.0 * params.zeta * c[None, :])
+    c = _cosines(n, "torus")
+    q = _eigenvalues(params, c, c)
     if not np.all(q > 0.0):
         raise AssertionError("torus precision eigenvalues must be positive")
     return q
-
-
-def _free_precision(params: SfcarParams, n: int) -> np.ndarray:
-    """Dense free-boundary precision: neighbor taps dropped outside the grid."""
-    lam = params.lambda_
-    size = n * n
-    q = np.zeros((size, size))
-    np.fill_diagonal(q, params.kappa)
-    idx = np.arange(size).reshape(n, n)
-    horiz = (idx[:, :-1].ravel(), idx[:, 1:].ravel())
-    vert = (idx[:-1, :].ravel(), idx[1:, :].ravel())
-    for a, b in (horiz, vert):
-        q[a, b] = -lam
-        q[b, a] = -lam
-    return q
-
-
-def _free_rates(params: SfcarParams, noise: NoiseModel, n: int) -> RateResult:
-    # Per-node rates from the dense model via symmetric factorizations:
-    #   MI  = (1/2n^2) [logdet(Q + I/sigma^2) - logdet(Q)]
-    #   KLI = (1/2n^2) [logdet(I + sigma^2 Q) - tr((I + sigma^2 Q)^{-1})
-    #                   - n^2 log(sigma^2) - logdet(Q)]
-    # both identical to summing the spectral integrands over Q's spectrum.
-    s2 = noise.sigma2
-    q = _free_precision(params, n)
-    size = n * n
-    chol_q = scipy.linalg.cho_factor(q, lower=True)
-    logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol_q[0]))))
-    a = np.eye(size) + s2 * q
-    chol_a = scipy.linalg.cho_factor(a, lower=True)
-    logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol_a[0]))))
-    trace_inv_a = float(np.trace(scipy.linalg.cho_solve(chol_a, np.eye(size))))
-    norm = float(size)
-    mi = 0.5 * (logdet_a - size * math.log(s2) - logdet_q) / norm
-    kli = 0.5 * (logdet_a - trace_inv_a - size * math.log(s2) - logdet_q) / norm
-    # logdet(Q + I/s2) = logdet(I + s2 Q) - n^2 log(s2): same factorization
-    # serves both measures.
-    return RateResult(kli, mi, n, True)
 
 
 def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
                          lattice: LatticeSpec) -> RateResult:
     """Exact per-node KLI and MI on the finite lattice.
 
-    Torus mode sums the closed-form eigenvalue grid (no approximation);
-    free mode factorizes the dense truncated precision.  The result's
+    Sums the spectral integrands over the closed-form precision
+    eigenvalues of either boundary (no approximation).  The result's
     quadrature_points field carries the lattice side.
     """
-    if lattice.boundary == "free":
-        return _free_rates(params, noise, lattice.n)
     n = lattice.n
-    s = 1.0 / (torus_eigenvalues(params, n) * noise.sigma2)
+    c = _cosines(n, lattice.boundary)
     # summed over blocks of rows, whose temporaries stay small: n^2-sized
     # ones would raise the peak memory of the process
-    rows = max(1, _TORUS_BLOCK_ELEMS // n)
+    rows = max(1, _BLOCK_ELEMS // n)
     kli = mi = 0.0
-    for block in (s[lo : lo + rows] for lo in range(0, n, rows)):
-        kli += float(np.sum(kli_integrand(block)))
-        mi += float(np.sum(0.5 * np.log1p(block)))
+    for lo in range(0, n, rows):
+        s = 1.0 / (_eigenvalues(params, c[lo : lo + rows], c) * noise.sigma2)
+        kli += float(np.sum(kli_integrand(s)))
+        mi += float(np.sum(0.5 * np.log1p(s)))
     return RateResult(kli / (n * n), mi / (n * n), n, True)
 
 
@@ -146,7 +114,10 @@ def _replicate_normals(seed: int, replicate: int, n: int) -> np.ndarray:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
     gen = np.random.Generator(np.random.Philox(ss))
     u = (gen.integers(0, 1 << 53, size=(n, n)).astype(np.float64) + 0.5) * 2.0**-53
-    return scipy.special.ndtri(u)
+    # imported here so that no other operation pays for loading scipy
+    from scipy.special import ndtri
+
+    return ndtri(u)
 
 
 def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,

@@ -78,8 +78,8 @@ def zeta_from_rho(rho: float) -> float:
     bisection with residual below 1e-12.  Larger rho corresponds to
     1/4 - zeta ~ 2 exp(-pi/(1-rho)), smaller than one ulp of 1/4, so the
     asymptotic value is returned instead; it rounds to 1/4 itself once
-    rho exceeds roughly 0.92.  Monotonicity of the forward map is asserted
-    once at import over a 1000-point grid.
+    rho exceeds roughly 0.92.  The bisection relies on the forward map
+    being strictly increasing, which the tests check on a 1000-point grid.
     """
     rho = float(rho)
     if not 0.0 <= rho < 1.0:
@@ -175,13 +175,3 @@ def zeta_from_spacing(field: PhysicalField) -> float:
     also where rho rounds to 1.
     """
     return spectral_parameters(field)[0]
-
-
-def _assert_monotone_forward_map():
-    zetas = np.linspace(0.0, ZETA_MAX, 1000)
-    rhos = [rho_from_zeta(z) for z in zetas]
-    if not all(b > a for a, b in zip(rhos, rhos[1:])):
-        raise AssertionError("edge-correlation map is not strictly increasing")
-
-
-_assert_monotone_forward_map()

@@ -102,6 +102,16 @@ class TestOracleCommand:
         got = float(parse_single_row_csv(out)["kli"])
         assert got == pytest.approx(want, abs=1e-6)
 
+    def test_free_boundary_has_no_side_cap(self, capsys):
+        status, out, _ = run_cli(
+            ["oracle", "--boundary", "free", "--n", "256", "--zeta", "0.1", "--snr", "10",
+             "--format", "json"],
+            capsys,
+        )
+        assert status == 0
+        results = json.loads(out)["results"]
+        assert math.isfinite(results["kli"]) and math.isfinite(results["mi"])
+
 
 class TestMcCommand:
     def test_seed_required(self, capsys):
@@ -248,3 +258,13 @@ class TestErrorPaths:
         )
         assert proc.returncode == 0
         assert "kli" in proc.stdout
+
+    def test_import_does_not_load_scipy(self):
+        # scipy is loaded only by the Monte Carlo oracle, when it runs
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, hgmrf.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

@@ -5,7 +5,6 @@ import pytest
 
 from hgmrf.car import NoiseModel, SfcarParams, sfcar_from_snr
 from hgmrf.oracle import (
-    FREE_BOUNDARY_MAX_SIDE,
     LatticeSpec,
     MonteCarloSpec,
     finite_lattice_rates,
@@ -86,6 +85,33 @@ class TestFiniteLatticeRates:
         assert res.kli_rate == pytest.approx(ref_kli, abs=1e-10)
         assert res.mi_rate == pytest.approx(ref_mi, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.24])
+    @pytest.mark.parametrize("sigma2", [0.1, 1.0, 10.0])
+    def test_free_boundary_spectrum_matches_dense_eigenvalues(self, n, zeta, sigma2):
+        # the DST-I eigenvalue formula against an explicitly assembled matrix
+        params = SfcarParams(kappa=1.0, zeta=zeta)
+        res = finite_lattice_rates(params, NoiseModel(sigma2), LatticeSpec(n, "free"))
+        ref_kli, ref_mi = dense_free_reference(params, sigma2, n)
+        assert res.kli_rate == pytest.approx(ref_kli, rel=1e-12, abs=0)
+        assert res.mi_rate == pytest.approx(ref_mi, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("zeta", [0.1, 0.2])
+    def test_free_boundary_converges_to_integral_like_one_over_n(self, zeta):
+        # the truncated taps at the edge cost O(1/n) per node: n (free - limit)
+        # settles on a constant
+        noise = NoiseModel(1.0)
+        params = sfcar_from_snr(10.0, zeta, noise)
+        ref = sfcar_rates(zeta, 10.0)
+        scaled = []
+        for n in (64, 256, 1024):
+            res = finite_lattice_rates(params, noise, LatticeSpec(n, "free"))
+            scaled.append((n * (res.kli_rate - ref.kli_rate), n * (res.mi_rate - ref.mi_rate)))
+        for kli, mi in scaled[:-1]:
+            assert kli == pytest.approx(scaled[-1][0], rel=0.05)
+            assert mi == pytest.approx(scaled[-1][1], rel=0.05)
+        assert scaled[-1][0] < 0.0 and scaled[-1][1] < 0.0
+
     def test_torus_sum_converges_to_integral(self):
         noise = NoiseModel(1.0)
         for zeta in (0.1, 0.2):
@@ -112,8 +138,6 @@ class TestFiniteLatticeRates:
             LatticeSpec(1)
         with pytest.raises(ValueError):
             LatticeSpec(8, "periodic")
-        with pytest.raises(ValueError):
-            LatticeSpec(FREE_BOUNDARY_MAX_SIDE + 1, "free")
 
 
 class TestMonteCarloLlr:
@@ -124,6 +148,12 @@ class TestMonteCarloLlr:
         first = sample_llr_per_node(params, noise, 16, spec)
         second = sample_llr_per_node(params, noise, 16, spec)
         assert first == second
+
+    def test_value_is_pinned(self):
+        # the inverse-CDF normals and the reduction order fix every bit
+        spec = MonteCarloSpec(replicates=50, seed=987654321)
+        got = sample_llr_per_node(sfcar_from_snr(10.0, 0.1), NoiseModel(1.0), 16, spec)
+        assert got == (0.739823696032482, 0.006381269134190872)
 
     def test_different_seeds_differ(self):
         params = sfcar_from_snr(10.0, 0.1)

@@ -112,6 +112,11 @@ class TestRhoFromZeta:
         with pytest.raises(ValueError):
             rho_from_zeta(0.2500001)
 
+    def test_strictly_increasing(self):
+        # zeta_from_rho inverts this map by bisection
+        rhos = [rho_from_zeta(z) for z in np.linspace(0.0, ZETA_MAX, 1000)]
+        assert all(b > a for a, b in zip(rhos, rhos[1:]))
+
 
 class TestZetaFromRho:
     def test_endpoint(self):
