@@ -223,7 +223,7 @@ def _emit(args, params: dict, results: dict) -> None:
     """Single-row commands: one CSV row (params + results) or a JSON object."""
     if args.format == "json":
         payload = {"command": args.command, "params": params, "results": results}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         header = list(params) + list(results)
         values = list(params.values()) + list(results.values())
@@ -256,7 +256,7 @@ def _emit_experiment(args, params: dict, sweep, fit) -> None:
             "window": list(fit.window),
         },
     }
-    json_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    json_text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         base = args.out[:-4] if args.out.endswith(".csv") else args.out
         with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:

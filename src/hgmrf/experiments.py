@@ -12,7 +12,7 @@ consumers can judge fit quality; none of them are hard-coded anywhere.
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,11 +53,12 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted asymptote: model family, named estimates, r^2, fit window."""
+    """Fitted asymptote: model family, named estimates, r^2, fit window;
+    None for an estimate or r^2 that the data do not fix."""
 
     model: str
-    estimates: Dict[str, float]
-    r_squared: float
+    estimates: Dict[str, Optional[float]]
+    r_squared: Optional[float]
     window: Tuple[float, float]
 
     def __post_init__(self):
@@ -304,7 +305,8 @@ def exp_snr_limits(zeta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
     information linearly; at high SNR both climb like half the log.  The
     sweep tabulates both regimes; the fit reports the low-SNR log-log
     exponents and the high-SNR increments normalized by (1/2) log of the
-    SNR ratio.
+    SNR ratio.  At zeta = 1/4 every rate is exactly 0, so the low-SNR
+    exponents and r^2 are None.
     """
     low = sorted(float(s) for s in low_snr) or list(np.logspace(-4, -2, 7))
     high = sorted(float(s) for s in high_snr) or [1e3, 1e4, 1e5]
@@ -315,23 +317,17 @@ def exp_snr_limits(zeta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
         res = sfcar_rates(zeta, snr, spec)
         rows.append((snr, {"kli": res.kli_rate, "mi": res.mi_rate}))
     sweep = SweepResult("snr", tuple(rows))
-    lows = np.array(low)
-    lk = np.array([sweep.rows[i][1]["kli"] for i in range(len(low))])
-    lm = np.array([sweep.rows[i][1]["mi"] for i in range(len(low))])
-    exp_kli, _, r2 = _ols(np.log(lows), np.log(lk))
-    exp_mi, _, _ = _ols(np.log(lows), np.log(lm))
-    estimates = {"low_snr_exponent_kli": exp_kli, "low_snr_exponent_mi": exp_mi}
+    kli, mi = (np.array([out[key] for _, out in rows]) for key in ("kli", "mi"))
+    exp_kli = exp_mi = r2 = None
+    if zeta < 0.25:
+        exp_kli, _, r2 = _ols(np.log(low), np.log(kli[:len(low)]))
+        exp_mi, _, _ = _ols(np.log(low), np.log(mi[:len(low)]))
     half_log_ratio = 0.5 * math.log(high[-1] / high[0])
-    base = sfcar_rates(zeta, high[0], spec)
-    top = sfcar_rates(zeta, high[-1], spec)
-    estimates["high_snr_slope_kli"] = (top.kli_rate - base.kli_rate) / half_log_ratio
-    estimates["high_snr_slope_mi"] = (top.mi_rate - base.mi_rate) / half_log_ratio
-    fit = FitResult(
-        model="power_law",
-        estimates=estimates,
-        r_squared=r2,
-        window=(float(lows.min()), float(lows.max())),
-    )
+    estimates = {"low_snr_exponent_kli": exp_kli, "low_snr_exponent_mi": exp_mi,
+                 "high_snr_slope_kli": float(kli[-1] - kli[len(low)]) / half_log_ratio,
+                 "high_snr_slope_mi": float(mi[-1] - mi[len(low)]) / half_log_ratio}
+    fit = FitResult(model="power_law", estimates=estimates, r_squared=r2,
+                    window=(float(low[0]), float(low[-1])))
     return sweep, fit
 
 

@@ -11,10 +11,10 @@ the edge dependence factor zeta through the elliptic integral:
 
     rho = ((2/pi) K(4 zeta) - 1) / (4 (2/pi) zeta K(4 zeta)),
 
-taking zeta in [0, 1/4] to rho in [0, 1].  g is inverted by bisection;
-near rho = 1 the inverse leaves the range representable in 64-bit floats
-(zeta sits within one ulp of 1/4) and an asymptotic branch takes over --
-see ``zeta_from_rho``.
+taking zeta in [0, 1/4] to rho in [0, 1].  g is inverted by bisection:
+in zeta up to rho = 1/2, and above it in log(1 - 4 zeta), which stays
+exact where zeta itself rounds next to or onto 1/4 -- see
+``zeta_from_rho``.
 """
 
 import math
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_k1, elliptic_k, one_minus_x_k1
+from .specfun import agm, bessel_k1, elliptic_k, one_minus_x_k1
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,16 @@ def rho_from_zeta(zeta: float) -> float:
     return (g - 1.0) / (4.0 * zeta * g)
 
 
-#: Largest edge correlation reachable by a representable zeta < 1/4.
-#: Beyond this the inverse map saturates (see zeta_from_rho).
-RHO_SATURATION = rho_from_zeta(ZETA_MAX)
-
-
 def zeta_from_rho(rho: float) -> float:
-    """Inverse of rho_from_zeta on [0, 1).
+    """Inverse of rho_from_zeta on [0, 1), by bisection of the strictly
+    increasing map to adjacent floats with a residual below 1e-12.
 
-    For rho <= RHO_SATURATION (about 0.919) the unique root is found by
-    bisection with residual below 1e-12.  Larger rho corresponds to
-    1/4 - zeta ~ 2 exp(-pi/(1-rho)), smaller than one ulp of 1/4, so the
-    asymptotic value is returned instead; it rounds to 1/4 itself once
-    rho exceeds roughly 0.92.  The bisection relies on the forward map
-    being strictly increasing, which the tests check on a 1000-point grid.
+    For rho <= 1/2 the bisection is in zeta.  Above, zeta nears 1/4 (within
+    one ulp beyond rho ~ 0.919), so it is in t = log(delta), with
+    delta = 1 - 4 zeta, against 1 - rho = (AGM(1, k') - delta)/(1 - delta)
+    and the complementary modulus k' = sqrt(delta (2 - delta)); neither
+    side cancels.  zeta is then (1 - delta)/4, or 1/4 where delta
+    underflows.
     """
     rho = float(rho)
     if not 0.0 <= rho < 1.0:
@@ -87,35 +83,45 @@ def zeta_from_rho(rho: float) -> float:
     return _zeta_delta(rho, 1.0 - rho)[0]
 
 
-def _zeta_delta(rho: float, one_minus_rho: float) -> tuple[float, float]:
-    # (zeta, 1 - 4 zeta).  rho may have rounded to 1 where one_minus_rho is
-    # still positive; only the saturated branch, which rho ~ 1 always takes,
-    # reads one_minus_rho.  There 1/4 - zeta = 2 exp(-pi/(1 - rho)) to
-    # ~1e-12 relative, below one ulp of 1/4, so 1 - 4 zeta comes from that
-    # form and not from the rounded zeta.  exp(-pi/(1 - rho)) underflows to
-    # 0 below alpha*d ~ 0.05, and 1 - rho itself below alpha*d ~ 1e-162.
-    if rho == 0.0:
-        return 0.0, 1.0
-    if rho > RHO_SATURATION:
-        gap = 2.0 * math.exp(-math.pi / one_minus_rho) if one_minus_rho > 0.0 else 0.0
-        return 0.25 - gap, 4.0 * gap
-    lo, hi = 0.0, ZETA_MAX
+#: log of the smallest positive double: the low end of the bisection in t.
+_T_MIN = math.log(math.ulp(0.0))
+
+
+def _one_minus_rho_at(t: float) -> float:
+    # 1 - rho at 1 - 4 zeta = e^t, increasing in t; AGM(1, k') >= k' >
+    # delta, and delta < 0.017 wherever rho > 1/2: no cancellation
+    delta = math.exp(t)
+    return (agm(1.0, math.sqrt(delta * (2.0 - delta))) - delta) / (1.0 - delta)
+
+
+def _bisect(f, target: float, lo: float, hi: float) -> float:
+    # where the increasing f meets target in [lo, hi], to adjacent floats
     while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket collapsed to adjacent floats
+        if mid <= lo or mid >= hi:
             break
-        if rho_from_zeta(mid) < rho:
+        if f(mid) < target:
             lo = mid
         else:
             hi = mid
-    r_lo, r_hi = rho_from_zeta(lo), rho_from_zeta(hi)
-    zeta, residual = (lo, abs(r_lo - rho)) if abs(r_lo - rho) <= abs(r_hi - rho) else (hi, abs(r_hi - rho))
-    # The map steepens toward zeta = 1/4; once the per-ulp step of the
-    # forward map exceeds the tolerance, the nearest float is the best
-    # attainable answer.
-    if residual > 1e-12 and residual > (r_hi - r_lo):
-        raise ArithmeticError(f"bisection residual above 1e-12 for rho={rho!r}")
-    return zeta, 1.0 - 4.0 * zeta
+    r_lo, r_hi = abs(f(lo) - target), abs(f(hi) - target)
+    if min(r_lo, r_hi) > 1e-12:
+        raise ArithmeticError(f"bisection residual above 1e-12 for target {target!r}")
+    return lo if r_lo <= r_hi else hi
+
+
+def _zeta_delta(rho: float, one_minus_rho: float) -> tuple[float, float]:
+    # (zeta, 1 - 4 zeta); above rho = 1/2, where rho may have rounded to 1,
+    # only one_minus_rho is read
+    if rho == 0.0:
+        return 0.0, 1.0
+    if rho <= 0.5:  # 1 - 4 zeta >= 0.017: exact to rounding from zeta
+        zeta = _bisect(rho_from_zeta, rho, 0.0, ZETA_MAX)
+        return zeta, 1.0 - 4.0 * zeta
+    if one_minus_rho <= _one_minus_rho_at(_T_MIN):  # 1 - 4 zeta underflows
+        return 0.25, 0.0
+    delta = math.exp(_bisect(_one_minus_rho_at, one_minus_rho, _T_MIN, 0.0))
+    return 0.25 * (1.0 - delta), delta
 
 
 def edge_correlation(field: PhysicalField) -> float:
@@ -146,19 +152,13 @@ def spectral_parameters(field: PhysicalField) -> tuple[float, float, float]:
     dependence factor and the two numbers its rates depend on besides the
     SNR.
 
-    The forward map rho = (g - 1)/(4 zeta g), g = (2/pi) K(4 zeta), gives
-    g = 1/((1 - 4 zeta) + 4 zeta (1 - rho)) exactly.  That sum of two
-    nonnegative terms, with 1 - rho from ``edge_decorrelation``, keeps
-    full accuracy where zeta is rounded next to or onto 1/4 (there
-    1 - 4 zeta is quantized to multiples of 1.1e-16 and K(4 zeta) is off
-    by up to 1e-2) and at any density (where 1/(1 - rho) with a rounded
-    rho would be off by ~eps/(1 - rho)).  Past the saturation handoff
-    (alpha*d below ~0.2945) 1 - 4 zeta = 8 exp(-pi/(1 - rho)) comes from
-    the asymptotic form, so it is right also where zeta has rounded to
-    1/4.  Below the handoff 1 - 4 zeta keeps the rounding of the bisected
-    zeta, up to ~5e-17 absolute, which moves the rates by up to about that
-    over max(SNR/g, 1 - 4 zeta): 7e-7 in the KLI at alpha*d = 0.296 and
-    SNR 1e-8.
+    1 - 4 zeta is bisected as in ``zeta_from_rho``, with 1 - rho from
+    ``edge_decorrelation``: it keeps full relative accuracy where zeta
+    rounds next to or onto 1/4 (within 3e-14 of a 60-digit solve from
+    alpha*d = 0.29 up).  The forward map gives g = (2/pi) K(4 zeta) =
+    1/((1 - 4 zeta) + 4 zeta (1 - rho)) exactly: a sum of two nonnegative
+    terms that needs no rounded rho (1 - rho ~ (alpha d)^2 ln(1/(alpha d))
+    at high density), and 1/(1 - rho) where 1 - 4 zeta underflows.
     """
     one_minus_rho = edge_decorrelation(field)
     zeta, delta = _zeta_delta(edge_correlation(field), one_minus_rho)

@@ -124,9 +124,9 @@ def sfcar_rates_at_spacing(field: PhysicalField, snr: float,
     """Rates at physical parameters: zeta = g(rho(alpha*spacing)).
 
     Takes 1 - 4 zeta and the power scale (2/pi)K(4 zeta) from
-    ``physmap.spectral_parameters``, which keeps the scale exact where zeta
+    ``physmap.spectral_parameters``, which keeps both exact where zeta
     rounds next to or onto 1/4 and at any density; the rates there are
-    small but not zero.
+    small but not zero, and at low SNR they turn on 1 - 4 zeta itself.
     """
     if not 0.0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")

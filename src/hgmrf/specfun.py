@@ -1,10 +1,10 @@
 """Special functions and periodic quadrature.
 
-Exactly the primitives the rate formulas need: the complete elliptic
-integral of the first kind K(k) in the modulus convention (K(0) = pi/2,
-K(k) -> inf as k -> 1), the modified Bessel function K_1 and
-1 - x K_1(x) without cancellation, the midpoint grid on (-pi, pi] and the
-convergence test of the doubling quadrature that ``hgmrf.rates`` runs.
+Exactly the primitives the rate formulas need: the arithmetic-geometric
+mean, the complete elliptic integral of the first kind K(k) in the modulus
+convention (K(0) = pi/2, K(k) -> inf as k -> 1), the modified Bessel
+function K_1 and 1 - x K_1(x) without cancellation, the midpoint grid on
+(-pi, pi] and the convergence test of the doubling quadrature.
 All arithmetic is 64-bit binary floating point.
 """
 
@@ -54,22 +54,23 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 def elliptic_k(modulus: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
 
-    K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t), evaluated through the
-    arithmetic-geometric mean: K = pi / (2*AGM(1, sqrt(1-k^2))).  Quadratic
-    convergence makes this exact to <= 1e-14 relative in a handful of
-    iterations.
+    K(k) = int_0^{pi/2} dt / sqrt(1 - k^2 sin^2 t) = pi / (2*AGM(1, k')),
+    k' = sqrt(1 - k^2), exact to <= 1e-14 relative.
 
     Raises ValueError outside 0 <= k < 1 (K(1) is infinite).
     """
     k = float(modulus)
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {modulus}")
-    a = 1.0
     # (1-k)(1+k) loses no precision near k = 1, unlike 1 - k*k.
-    g = math.sqrt((1.0 - k) * (1.0 + k))
+    return math.pi / (2.0 * agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
+
+
+def agm(a: float, g: float) -> float:
+    """Arithmetic-geometric mean of a, g > 0, to ~1e-16 relative."""
     while abs(a - g) > 1e-15 * a:
         a, g = 0.5 * (a + g), math.sqrt(a * g)
-    return math.pi / (2.0 * a)
+    return a
 
 
 def _k1_series_sums(x: float):

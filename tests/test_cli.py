@@ -4,10 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from hgmrf import cli
 from hgmrf.cli import main
+from hgmrf.experiments import FitResult, SweepResult
 
 
 def run_cli(argv, capsys):
@@ -219,6 +222,32 @@ class TestExperimentCommand:
         for row in rows[1:]:
             for cell in row:
                 float(cell)
+
+    def test_snr_at_quarter_writes_strict_json(self, tmp_path):
+        # every rate at zeta = 1/4 is exactly 0: the low-SNR power law has
+        # no exponent, which is null, not NaN, and no log of 0 is taken
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        out = tmp_path / "snr"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "snr", "--zeta", "0.25", "--out", str(out)]) == 0
+        results = json.loads((tmp_path / "snr.json").read_text(), parse_constant=reject)["results"]
+        assert results["estimates"]["low_snr_exponent_kli"] is None
+        assert results["estimates"]["low_snr_exponent_mi"] is None
+        assert results["r_squared"] is None
+        rows = list(csv.reader(io.StringIO((tmp_path / "snr.csv").read_text())))
+        assert all(float(cell) == 0.0 for row in rows[1:] for cell in row[1:])
+
+    def test_nan_estimate_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        sweep = SweepResult("snr", ((1.0, {"kli": 0.0, "mi": 0.0}),))
+        fit = FitResult("power_law", {"exponent": math.nan}, 1.0, (1.0, 2.0))
+        monkeypatch.setattr(cli, "exp_snr_limits", lambda *args, **kwargs: (sweep, fit))
+        status, out, err = run_cli(["experiment", "snr", "--out", str(tmp_path / "snr")], capsys)
+        assert status == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "snr.csv").exists()
 
 
 class TestErrorPaths:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hgmrf.physmap import (
-    RHO_SATURATION,
     ZETA_MAX,
     PhysicalField,
     edge_correlation,
@@ -94,8 +93,7 @@ class TestRhoFromZeta:
         # the divergence of K is only logarithmic, so rho(0.2499) is far
         # from 1 even this close to the endpoint
         assert rho_from_zeta(0.2499) == pytest.approx(0.6831094437271238, rel=1e-10)
-        assert rho_from_zeta(ZETA_MAX) == pytest.approx(RHO_SATURATION)
-        assert 0.91 < RHO_SATURATION < 0.93
+        assert 0.91 < rho_from_zeta(ZETA_MAX) < 0.93
 
     def test_small_zeta_linearization(self):
         for z in (1e-4, 1e-5):
@@ -142,32 +140,36 @@ class TestZetaFromRho:
 
     @pytest.mark.parametrize("alpha_d", [0.296, 20.0 / 63.0])
     def test_scale_near_handoff_matches_high_precision_solve(self, alpha_d):
-        # Just above the handoff zeta rounds to within a few ulps of 1/4;
-        # the scale must not inherit that rounding.
+        # Here zeta rounds to within a few ulps of 1/4; the scale must not
+        # inherit that rounding.
         field = PhysicalField(alpha=1.0, spacing=alpha_d)
         _delta, ref = _mp_delta_and_scale(edge_correlation(field))
         assert spectral_parameters(field)[2] == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("alpha_d", [0.2, 0.29])
     def test_saturated_delta_matches_high_precision_solve(self, alpha_d):
-        # past the handoff zeta is 1/4 or one ulp below it, but the rates
-        # at low SNR still depend on the true 1 - 4 zeta
+        # zeta is 1/4 or one ulp below it, but the rates at low SNR still
+        # depend on the true 1 - 4 zeta
         field = PhysicalField(alpha=1.0, spacing=alpha_d)
-        assert edge_correlation(field) > RHO_SATURATION
+        assert edge_correlation(field) > rho_from_zeta(ZETA_MAX)
         ref, _scale = _mp_delta_and_scale(edge_correlation(field))
         assert spectral_parameters(field)[1] == pytest.approx(ref, rel=1e-11, abs=0.0)
 
+    @pytest.mark.parametrize("alpha_d", [0.2945, 0.296, 20.0 / 63.0, 0.34, 0.5, 1.0])
+    def test_delta_matches_high_precision_solve(self, alpha_d):
+        # where zeta is a few ulps below 1/4 a delta taken as 1 - 4 zeta
+        # would be off by up to 26% (at 0.296)
+        field = PhysicalField(alpha=1.0, spacing=alpha_d)
+        ref, _scale = _mp_delta_and_scale(edge_correlation(field))
+        assert spectral_parameters(field)[1] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_scale_continuous_across_saturation(self):
-        # the two adjacent spacings between which rho crosses RHO_SATURATION
-        lo, hi = 0.28, 0.32  # rho falls as the spacing grows
-        while np.nextafter(lo, hi) < hi:
-            mid = 0.5 * (lo + hi)
-            if edge_correlation(PhysicalField(alpha=1.0, spacing=mid)) > RHO_SATURATION:
-                lo = mid
-            else:
-                hi = mid
-        above = spectral_parameters(PhysicalField(alpha=1.0, spacing=lo))[2]
-        below = spectral_parameters(PhysicalField(alpha=1.0, spacing=hi))[2]
+        # the two adjacent spacings between which rho falls through
+        # rho_from_zeta(ZETA_MAX), the largest rho a double zeta < 1/4 reaches
+        lo, hi = PhysicalField(1.0, 0.2944760646472482), PhysicalField(1.0, 0.29447606464724824)
+        assert edge_correlation(lo) > rho_from_zeta(ZETA_MAX) >= edge_correlation(hi)
+        above = spectral_parameters(lo)[2]
+        below = spectral_parameters(hi)[2]
         assert below == pytest.approx(above, rel=1e-6)
 
 

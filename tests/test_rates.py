@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hgmrf.car import NoiseModel, sfcar_from_snr
-from hgmrf.physmap import PhysicalField, RHO_SATURATION, edge_correlation
+from hgmrf.physmap import ZETA_MAX, PhysicalField, edge_correlation, rho_from_zeta
 from hgmrf.rates import (
     RateResult,
     kli_integrand,
@@ -106,30 +106,30 @@ class TestSfcarRates:
 class TestHighPrecisionCrossValidation:
     @pytest.mark.parametrize("zeta,snr", [(0.1, 10.0), (0.2499, 1.0)])
     def test_against_mpmath_double_quadrature(self, zeta, snr):
-        # fully independent path: 25-digit adaptive 2-D quadrature with
-        # mpmath's own elliptic integral for the power scale
-        import mpmath as mp
+        # fully independent path: 20-digit adaptive 2-D quadrature with
+        # mpmath's own elliptic integral for the power scale.  The
+        # integrands are even in w1 and w2, so [0, pi]^2 / pi^2 is the
+        # average over the whole torus.
+        with mp.workdps(20):
+            z, s0 = mp.mpf(zeta), mp.mpf(snr)
+            a = (2 / mp.pi) * mp.ellipk((4 * z) ** 2)  # parameter m = k^2
 
-        mp.mp.dps = 20
-        z, s0 = mp.mpf(zeta), mp.mpf(snr)
-        a = (2 / mp.pi) * mp.ellipk((4 * z) ** 2)  # parameter m = k^2
+            def spectral_snr(w1, w2):
+                return s0 / (a * (1 - 2 * z * mp.cos(w1) - 2 * z * mp.cos(w2)))
 
-        def spectral_snr(w1, w2):
-            return s0 / (a * (1 - 2 * z * mp.cos(w1) - 2 * z * mp.cos(w2)))
-
-        ref_kli = float(
-            mp.quad(
-                lambda w1, w2: 0.5 * mp.log(1 + spectral_snr(w1, w2))
-                + 0.5 / (1 + spectral_snr(w1, w2)) - 0.5,
-                [-mp.pi, 0, mp.pi], [-mp.pi, 0, mp.pi],
-            ) / (4 * mp.pi**2)
-        )
-        ref_mi = float(
-            mp.quad(
-                lambda w1, w2: 0.5 * mp.log(1 + spectral_snr(w1, w2)),
-                [-mp.pi, 0, mp.pi], [-mp.pi, 0, mp.pi],
-            ) / (4 * mp.pi**2)
-        )
+            ref_kli = float(
+                mp.quad(
+                    lambda w1, w2: 0.5 * mp.log(1 + spectral_snr(w1, w2))
+                    + 0.5 / (1 + spectral_snr(w1, w2)) - 0.5,
+                    [0, mp.pi], [0, mp.pi],
+                ) / mp.pi**2
+            )
+            ref_mi = float(
+                mp.quad(
+                    lambda w1, w2: 0.5 * mp.log(1 + spectral_snr(w1, w2)),
+                    [0, mp.pi], [0, mp.pi],
+                ) / mp.pi**2
+            )
         res = sfcar_rates(zeta, snr)
         assert res.kli_rate == pytest.approx(ref_kli, rel=1e-12)
         assert res.mi_rate == pytest.approx(ref_mi, rel=1e-12)
@@ -209,8 +209,10 @@ ALPHA_D_GRID = (0.01, 0.02, 0.296, 20.0 / 63.0, 0.5)
 class TestOneDimensionalPathAccuracy:
     """Every point converges under the default budget and lands within
     1e-13 of a 40-digit evaluation, from zeta = 0 to the last double below
-    1/4, on both sides of the saturation handoff and at dense spacing.
-    abs=0 keeps pytest.approx from passing rates below 1e-12 outright."""
+    1/4, at spacings where zeta rounds next to or onto 1/4 and at dense
+    spacing.  At low SNR the rates there turn on 1 - 4 zeta itself, which
+    no double zeta carries; those points hold to 1e-12.  abs=0 keeps
+    pytest.approx from passing rates below 1e-12 outright."""
 
     @pytest.mark.parametrize("snr", [1e-4, 1.0, 1e5])
     @pytest.mark.parametrize("zeta", ZETA_GRID)
@@ -248,6 +250,18 @@ class TestOneDimensionalPathAccuracy:
         res = sfcar_rates_at_spacing(PhysicalField(1.0, alpha_d), 1.0)
         assert res.converged
         ref = _mp_rates_at_spacing(alpha_d, 1.0)
+        assert res.kli_rate == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+        assert res.mi_rate == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha_d,snr", [(0.296, 1e-8), (0.296, 1e-12),
+                                             (20.0 / 63.0, 1e-12), (0.34, 1e-10)])
+    def test_low_snr_where_zeta_rounds_near_quarter(self, alpha_d, snr):
+        # zeta is a few ulps below 1/4 and c = SNR/scale is below or near
+        # 1 - 4 zeta, which sets the width of the peak: a 1 - 4 zeta taken
+        # from the rounded zeta put the KLI off by up to 2.6e-3
+        res = sfcar_rates_at_spacing(PhysicalField(1.0, alpha_d), snr)
+        assert res.converged
+        ref = _mp_rates_at_spacing(alpha_d, snr)
         assert res.kli_rate == pytest.approx(ref[0], rel=1e-12, abs=0.0)
         assert res.mi_rate == pytest.approx(ref[1], rel=1e-12, abs=0.0)
 
@@ -308,14 +322,13 @@ class TestRatesAtSpacing:
         assert res.mi_rate == pytest.approx(ref.mi_rate, abs=1e-10)
 
     def test_continuity_across_saturation_handoff(self):
-        # bracket the spacing where rho crosses the representable limit
+        # the two points of np.linspace(0.28, 0.32, 400) between which rho
+        # falls through rho_from_zeta(ZETA_MAX), where zeta leaves the
+        # doubles below 1/4
         alpha = 1.0
-        ds = np.linspace(0.28, 0.32, 400)
-        rhos = np.array([edge_correlation(PhysicalField(alpha, d)) for d in ds])
-        idx = int(np.searchsorted(-rhos, -RHO_SATURATION))
-        d_above, d_below = ds[idx - 1], ds[idx]  # rho decreasing in d
-        assert edge_correlation(PhysicalField(alpha, d_above)) > RHO_SATURATION
-        assert edge_correlation(PhysicalField(alpha, d_below)) <= RHO_SATURATION
+        d_above, d_below = 0.29443609022556394, 0.2945363408521303
+        assert edge_correlation(PhysicalField(alpha, d_above)) > rho_from_zeta(ZETA_MAX)
+        assert edge_correlation(PhysicalField(alpha, d_below)) <= rho_from_zeta(ZETA_MAX)
         r_above = sfcar_rates_at_spacing(PhysicalField(alpha, d_above), 10.0)
         r_below = sfcar_rates_at_spacing(PhysicalField(alpha, d_below), 10.0)
         assert r_above.kli_rate == pytest.approx(r_below.kli_rate, rel=2e-3)
