@@ -74,8 +74,8 @@ def zeta_from_rho(rho: float) -> float:
     one ulp beyond rho ~ 0.919), so it is in t = log(delta), with
     delta = 1 - 4 zeta, against 1 - rho = (AGM(1, k') - delta)/(1 - delta)
     and the complementary modulus k' = sqrt(delta (2 - delta)); neither
-    side cancels.  zeta is then (1 - delta)/4, or 1/4 where delta
-    underflows.
+    side cancels.  zeta is then (1 - delta)/4, or 1/4 where delta would
+    fall below the smallest normal double.
     """
     rho = float(rho)
     if not 0.0 <= rho < 1.0:
@@ -83,15 +83,17 @@ def zeta_from_rho(rho: float) -> float:
     return _zeta_delta(rho, 1.0 - rho)[0]
 
 
-#: log of the smallest positive double: the low end of the bisection in t.
-_T_MIN = math.log(math.ulp(0.0))
-
-
 def _one_minus_rho_at(t: float) -> float:
     # 1 - rho at 1 - 4 zeta = e^t, increasing in t; AGM(1, k') >= k' >
     # delta, and delta < 0.017 wherever rho > 1/2: no cancellation
     delta = math.exp(t)
     return (agm(1.0, math.sqrt(delta * (2.0 - delta))) - delta) / (1.0 - delta)
+
+
+#: Low end of the bisection in t, at the smallest normal delta (a subnormal
+#: delta = e^t cannot resolve 1 - rho to 1e-12), and 1 - rho there.
+_T_MIN = math.log(np.finfo(float).tiny)
+_ONE_MINUS_RHO_MIN = _one_minus_rho_at(_T_MIN)
 
 
 def _bisect(f, target: float, lo: float, hi: float) -> float:
@@ -118,7 +120,7 @@ def _zeta_delta(rho: float, one_minus_rho: float) -> tuple[float, float]:
     if rho <= 0.5:  # 1 - 4 zeta >= 0.017: exact to rounding from zeta
         zeta = _bisect(rho_from_zeta, rho, 0.0, ZETA_MAX)
         return zeta, 1.0 - 4.0 * zeta
-    if one_minus_rho <= _one_minus_rho_at(_T_MIN):  # 1 - 4 zeta underflows
+    if one_minus_rho <= _ONE_MINUS_RHO_MIN:  # 1 - 4 zeta below normal range
         return 0.25, 0.0
     delta = math.exp(_bisect(_one_minus_rho_at, one_minus_rho, _T_MIN, 0.0))
     return 0.25 * (1.0 - delta), delta
@@ -158,7 +160,7 @@ def spectral_parameters(field: PhysicalField) -> tuple[float, float, float]:
     alpha*d = 0.29 up).  The forward map gives g = (2/pi) K(4 zeta) =
     1/((1 - 4 zeta) + 4 zeta (1 - rho)) exactly: a sum of two nonnegative
     terms that needs no rounded rho (1 - rho ~ (alpha d)^2 ln(1/(alpha d))
-    at high density), and 1/(1 - rho) where 1 - 4 zeta underflows.
+    at high density), and 1/(1 - rho) where 1 - 4 zeta is taken as 0.
     """
     one_minus_rho = edge_decorrelation(field)
     zeta, delta = _zeta_delta(edge_correlation(field), one_minus_rho)

@@ -59,8 +59,8 @@ class TestRatesCommand:
         assert status == 2
         assert parse_single_row_csv(out)["converged"] == "false"
 
-    @pytest.mark.parametrize("alpha,spacing", [("0.01", "1"), ("1", "0.02"), ("1", "1e-6"),
-                                               ("1", "1e-10"), ("1", "1e-40")])
+    @pytest.mark.parametrize("alpha,spacing", [("0.01", "1"), ("1", "0.02"), ("1", "0.0483"),
+                                               ("1", "1e-6"), ("1", "1e-10"), ("1", "1e-40")])
     def test_dense_spacing_converges(self, alpha, spacing, capsys):
         status, out, _ = run_cli(
             ["rates", "--alpha", alpha, "--spacing", spacing, "--snr", "1"], capsys

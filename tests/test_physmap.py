@@ -163,6 +163,19 @@ class TestZetaFromRho:
         ref, _scale = _mp_delta_and_scale(edge_correlation(field))
         assert spectral_parameters(field)[1] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
+    def test_defined_where_delta_leaves_normal_range(self):
+        # about alpha*d = 0.0494, where 1 - 4 zeta reaches the smallest normal
+        # double; a bisection into subnormal delta cannot meet the 1e-12
+        # residual there
+        deltas = []
+        for alpha_d in np.linspace(0.047, 0.050, 301):
+            zeta, delta, scale = spectral_parameters(PhysicalField(1.0, float(alpha_d)))
+            assert delta >= 0.0 and math.isfinite(scale)
+            assert zeta == 0.25 or delta >= 2.2e-308
+            deltas.append(delta)
+        assert deltas[0] == 0.0 < deltas[-1]
+        assert all(b >= a for a, b in zip(deltas, deltas[1:]))
+
     def test_scale_continuous_across_saturation(self):
         # the two adjacent spacings between which rho falls through
         # rho_from_zeta(ZETA_MAX), the largest rho a double zeta < 1/4 reaches
