@@ -6,8 +6,9 @@ line endings, shortest round-trip float representation) or JSON; every
 effective parameter is echoed alongside the results, and a JSON output
 file can be fed back through --config to reproduce the run.  Flags
 override configuration-file values.  SNR is linear by default; --snr-db
-converts at parse time.  Exit codes: 0 success, 1 validation error, 2
-numerical non-convergence.
+converts at parse time.  Exit codes: 0 success, 1 validation error (also
+an overflow, or a result that is not finite: neither format writes NaN or
+infinity), 2 numerical non-convergence.
 """
 
 import argparse
@@ -208,6 +209,9 @@ def _format_value(v):
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
+        # as strict as json.dumps(..., allow_nan=False)
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite result {v!r} cannot be written")
         return repr(float(v))
     return str(v)
 
@@ -426,8 +430,11 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:  # an overflow or a division by zero
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return status
 

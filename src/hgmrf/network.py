@@ -11,6 +11,7 @@ information per Joule.  Units are nats, Joules, meters throughout (SNR
 linear; dB conversion belongs to the CLI).
 """
 
+import math
 from dataclasses import dataclass
 
 from .physmap import PhysicalField
@@ -32,24 +33,25 @@ class NetworkConfig:
     noise_sigma2: float = 1.0
 
     def __post_init__(self):
+        # every comparison is false for NaN, so each check rejects it
         if self.n < 2:
             raise ValueError("grid side must be >= 2")
-        if not self.spacing > 0.0:
-            raise ValueError("spacing must be positive")
-        if self.sensing_energy < 0.0:
-            raise ValueError("sensing energy must be nonnegative")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
+        if not 0.0 <= self.sensing_energy < math.inf:
+            raise ValueError("sensing energy must be nonnegative and finite")
         # zero is allowed: the communication-free case is a meaningful
         # degenerate branch (efficiency then scales purely with sensing)
-        if self.comm_energy_coeff < 0.0:
-            raise ValueError("comm energy coefficient must be nonnegative")
-        if self.loss_exponent < 2.0:
-            raise ValueError("loss exponent must be >= 2")
-        if not self.snr_per_joule > 0.0:
-            raise ValueError("snr_per_joule must be positive")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        if not self.noise_sigma2 > 0.0:
-            raise ValueError("noise variance must be positive")
+        if not 0.0 <= self.comm_energy_coeff < math.inf:
+            raise ValueError("comm energy coefficient must be nonnegative and finite")
+        if not 2.0 <= self.loss_exponent < math.inf:
+            raise ValueError("loss exponent must be >= 2 and finite")
+        if not 0.0 < self.snr_per_joule < math.inf:
+            raise ValueError("snr_per_joule must be positive and finite")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0.0 < self.noise_sigma2 < math.inf:
+            raise ValueError("noise variance must be positive and finite")
 
 
 @dataclass(frozen=True)

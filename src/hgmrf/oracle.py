@@ -106,20 +106,6 @@ def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
     return RateResult(kli / (n * n), mi / (n * n), n, True)
 
 
-def _replicate_normals(seed: int, replicate: int, n: int) -> np.ndarray:
-    # Substream per replicate: SeedSequence(seed, spawn_key=(r,)) -> Philox,
-    # then inverse-CDF normals from open-interval uniforms
-    # u = (k + 1/2) * 2^-53, k uniform on [0, 2^53).  Fully deterministic
-    # for a given (seed, replicate), serial or parallel.
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
-    gen = np.random.Generator(np.random.Philox(ss))
-    u = (gen.integers(0, 1 << 53, size=(n, n)).astype(np.float64) + 0.5) * 2.0**-53
-    # imported here so that no other operation pays for loading scipy
-    from scipy.special import ndtri
-
-    return ndtri(u)
-
-
 def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
                         mc: MonteCarloSpec):
     """Monte Carlo mean and standard error of the per-node LLR under noise.
@@ -131,8 +117,10 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
         llr_bin = 0.5 log(1+s_kl) - 0.5 |Yhat_kl|^2 s_kl / (sigma^2 (1+s_kl)),
 
     s_kl = 1/(q_kl sigma^2).  The replicate mean converges almost surely
-    to the finite-lattice KLI.  Requires replicates >= 2 for a standard
-    error.
+    to the finite-lattice KLI.  Every replicate draws its n x n standard
+    normals in turn from one Philox stream seeded with mc.seed, so the
+    result is bit-identical for a given seed and numpy version.  Requires
+    replicates >= 2 for a standard error.
     """
     if mc.replicates < 2:
         raise ValueError("at least 2 replicates are needed for a standard error")
@@ -142,9 +130,10 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
     log_term = float(np.sum(0.5 * np.log1p(s)))
     weight = 0.5 * s / (s2 * (1.0 + s))
     norm = float(n * n)
+    gen = np.random.Generator(np.random.Philox(mc.seed))
     values = np.empty(mc.replicates)
     for r in range(mc.replicates):
-        y = math.sqrt(s2) * _replicate_normals(mc.seed, r, n)
+        y = math.sqrt(s2) * gen.standard_normal((n, n))
         power = np.abs(np.fft.fft2(y, norm="ortho")) ** 2
         values[r] = (log_term - float(np.sum(weight * power))) / norm
     mean = float(np.mean(values))

@@ -18,6 +18,7 @@ exact where zeta itself rounds next to or onto 1/4 -- see
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,8 @@ from .specfun import agm, bessel_k1, elliptic_k, one_minus_x_k1
 
 @dataclass(frozen=True)
 class PhysicalField:
-    """Diffusion rate alpha (1/length) and sensor spacing (length)."""
+    """Diffusion rate alpha (1/length) and sensor spacing (length), whose
+    product is a finite normal double."""
 
     alpha: float
     spacing: float
@@ -37,9 +39,11 @@ class PhysicalField:
             raise ValueError("alpha must be positive and finite")
         if not 0.0 < self.spacing < math.inf:
             raise ValueError("spacing must be positive and finite")
+        # a subnormal product would overflow 1/x in the K_1 series
         product = self.alpha * self.spacing
-        if not 0.0 < product < math.inf:
-            raise ValueError(f"alpha*spacing must be positive and finite, got {product!r}")
+        if not sys.float_info.min <= product < math.inf:
+            raise ValueError("alpha*spacing must be finite and at least the smallest normal "
+                             f"double {sys.float_info.min!r}, got {product!r}")
 
 
 #: Largest double below 1/4; upper end of the bisection bracket.

@@ -105,7 +105,12 @@ def _k1_series(x: float) -> float:
 
 def _k1_continued_fraction(x: float) -> float:
     # Steed's continued fraction for K_0, then the Wronskian-style step up
-    # to K_1; standard for x >= 2 (Temme's method).
+    # to K_1; standard for x >= 2 (Temme's method).  Once exp(-x)
+    # underflows (x above ~745) the result is exactly 0, and b = 2(1 + x)
+    # below would overflow from x ~ 9e307.
+    e = math.exp(-x)
+    if e == 0.0:
+        return 0.0
     xi = 1.0 / x
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
@@ -134,7 +139,7 @@ def _k1_continued_fraction(x: float) -> float:
     else:  # pragma: no cover - converges in tens of iterations for x >= 2
         raise ArithmeticError("K1 continued fraction did not converge")
     h = a1 * h
-    k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+    k0 = math.sqrt(math.pi / (2.0 * x)) * e / s
     return k0 * (x + 0.5 - h) * xi
 
 
@@ -144,7 +149,8 @@ def bessel_k1(x: float) -> float:
     Ascending series below x = 2, Steed continued fraction above; both
     branches agree to ~1e-15 relative at the crossover and the overall
     relative error is <= 1e-12.  Limits: K_1(x) -> 1/x as x -> 0 and
-    K_1(x) -> sqrt(pi/2x) e^{-x} as x -> inf.
+    K_1(x) -> sqrt(pi/2x) e^{-x} as x -> inf; it is 0 from x ~ 745 up,
+    where e^{-x} underflows.
 
     Raises ValueError for x <= 0.
     """

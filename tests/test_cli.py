@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgmrf import cli
 from hgmrf.cli import main
@@ -71,6 +74,16 @@ class TestRatesCommand:
         assert 0.0 < float(row["kli"]) < float(row["mi"])
         assert float(row["zeta"]) == 0.25
 
+    def test_sparse_spacing_gives_iid_rates(self, capsys):
+        status, out, _ = run_cli(
+            ["rates", "--alpha", "1", "--spacing", "1e308", "--snr", "1"], capsys
+        )
+        assert status == 0
+        row = parse_single_row_csv(out)
+        assert float(row["zeta"]) == 0.0
+        assert float(row["kli"]) == pytest.approx(0.0965735902799726, abs=1e-9)
+        assert float(row["mi"]) == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
+
     def test_missing_snr_is_validation_error(self, capsys):
         status, _, err = run_cli(["rates", "--zeta", "0"], capsys)
         assert status == 1
@@ -84,6 +97,14 @@ class TestMapCommand:
         row = parse_single_row_csv(out)
         assert float(row["rho"]) == pytest.approx(0.6019072301972346, abs=1e-7)
         assert float(row["zeta"]) == pytest.approx(0.24921547956740725, abs=1e-9)
+
+    def test_sparse_spacing_is_uncorrelated(self, capsys):
+        # K_1 underflows to 0 long before alpha*d reaches 1e308
+        status, out, _ = run_cli(["map", "--alpha", "1e308", "--spacing", "1"], capsys)
+        assert status == 0
+        row = parse_single_row_csv(out)
+        assert float(row["rho"]) == 0.0
+        assert float(row["zeta"]) == 0.0
 
     def test_rho_rounded_to_one_maps_to_quarter(self, capsys):
         status, out, _ = run_cli(["map", "--alpha", "1e-100", "--spacing", "1e-100"], capsys)
@@ -270,6 +291,11 @@ class TestErrorPaths:
             ["rates", "--alpha", "1e-200", "--spacing", "1e-200", "--snr", "1"],
             ["rates", "--zeta", "0.1", "--snr", "inf"],
             ["rates", "--zeta", "0.1", "--snr-db", "1e10"],
+            ["network", "--n", "4", "--spacing", "1e300"],
+            ["network", "--n", "4", "--spacing", "2", "--e0", "nan"],
+            ["rates", "--zeta", "0.1", "--snr", "1e308"],
+            ["map", "--alpha", "1", "--spacing", "1e-320"],
+            ["rates", "--alpha", "1", "--spacing", "1e-160", "--snr", "1"],
         ],
     )
     def test_out_of_domain_input_is_one_line_validation_error(self, argv, capsys):
@@ -289,11 +315,72 @@ class TestErrorPaths:
         assert "kli" in proc.stdout
 
     def test_import_does_not_load_scipy(self):
-        # scipy is loaded only by the Monte Carlo oracle, when it runs
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, hgmrf.cli; print('scipy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
+        # numpy is the only runtime dependency, also of the Monte Carlo oracle
+        script = ("import sys, hgmrf.cli\n"
+                  "print('scipy' in sys.modules)\n"
+                  "status = hgmrf.cli.main(['mc', '--zeta', '0.1', '--snr', '10', '--n', '8',\n"
+                  "                         '--replicates', '4', '--seed', '1'])\n"
+                  "print(status, 'scipy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "False"
+        assert lines[-1] == "0 False"
+
+
+#: Float flags of each command form the property test drives.
+PROPERTY_FORMS = {
+    "rates-zeta": ("rates", ("zeta", "snr")),
+    "rates-zeta-db": ("rates", ("zeta", "snr-db")),
+    "rates-spacing": ("rates", ("alpha", "spacing", "snr")),
+    "map": ("map", ("alpha", "spacing")),
+    "network": ("network", ("spacing", "alpha", "beta", "es", "e0", "nu", "sigma2")),
+}
+
+#: Every float, with the ends of the double range drawn more often.
+any_float = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-320, sys.float_info.min, 1e-160,
+     1e-155, 1e300, 1e308, -1e308, sys.float_info.max])
+#: Ordinary values for the flags not drawn from any_float, so that many runs
+#: get past validation (--zeta is valid only at 0.1, --nu only at 2 and 3).
+tame_float = st.sampled_from([0.1, 1.0, 2.0, 3.0])
+
+
+def _assert_no_nonfinite_number(text, fmt):
+    if fmt == "json":
+        def reject(token):
+            raise AssertionError(f"non-strict JSON constant {token}")
+
+        if text:
+            json.loads(text, parse_constant=reject)
+        return
+    for row in csv.reader(io.StringIO(text)):
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), f"{cell!r} in {text!r}"
+
+
+@pytest.mark.parametrize("form", sorted(PROPERTY_FORMS))
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
+def test_any_float_gives_status_and_finite_output(form, data, fmt):
+    # in-process: an uncaught exception fails the test instead of a traceback
+    command, flags = PROPERTY_FORMS[form]
+    wild = data.draw(st.sets(st.sampled_from(flags)), label="flags drawn from any float")
+    argv = [command, "--format", fmt]
+    argv += [f"--{flag}={data.draw(any_float if flag in wild else tame_float, label=flag)!r}"
+             for flag in flags]
+    if command == "network":
+        n = data.draw(st.integers(2, 64) | st.integers(-3, 10**200), label="n")
+        argv.append(f"--n={n}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2)
+    if status == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+    _assert_no_nonfinite_number(out.getvalue(), fmt)

@@ -85,6 +85,15 @@ class TestTotalEnergy:
         with pytest.raises(ValueError):
             NetworkConfig(n=4, spacing=1.0, sensing_energy=-1.0)
 
+    @pytest.mark.parametrize("field", ["spacing", "sensing_energy", "comm_energy_coeff",
+                                       "loss_exponent", "snr_per_joule", "alpha",
+                                       "noise_sigma2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        # a NaN or infinite energy parameter used to reach the totals
+        with pytest.raises(ValueError):
+            NetworkConfig(**{"n": 4, "spacing": 1.0, field: value})
+
 
 class TestEvaluateNetwork:
     def test_wide_spacing_gives_uncorrelated_rates(self):

@@ -52,6 +52,8 @@ class TestEdgeCorrelation:
             PhysicalField(alpha=1.0, spacing=math.inf)
         with pytest.raises(ValueError, match=r"alpha\*spacing"):
             PhysicalField(alpha=1e-200, spacing=1e-200)
+        with pytest.raises(ValueError, match=r"alpha\*spacing"):
+            PhysicalField(alpha=1.0, spacing=1e-320)
 
 
 class TestEdgeDecorrelation:

@@ -8,6 +8,7 @@ from hgmrf.specfun import (
     bessel_k1,
     elliptic_k,
     K1_CROSSOVER,
+    one_minus_x_k1,
 )
 
 
@@ -59,6 +60,13 @@ class TestBesselK1:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             bessel_k1(bad)
+
+    @pytest.mark.parametrize("x", [1e3, 1e308, np.finfo(float).max])
+    def test_zero_where_exp_underflows(self, x):
+        # exp(-x) underflows from x ~ 745; the recurrence start 2(1 + x)
+        # overflows from x ~ 9e307
+        assert bessel_k1(x) == 0.0
+        assert one_minus_x_k1(x) == 1.0
 
     def test_strictly_decreasing_and_positive(self):
         grid = np.logspace(-3, math.log10(50.0), 120)
