@@ -35,8 +35,8 @@ class NoiseModel:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise ValueError("noise variance must be positive")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError("noise variance must be positive and finite")
 
 
 class CarCoefficients:
@@ -115,8 +115,8 @@ class SfcarParams:
     zeta: float
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
         if not 0.0 <= self.zeta < 0.25:
             raise ValueError("zeta must lie in [0, 1/4)")
 
@@ -168,8 +168,16 @@ def sfcar_from_snr(snr: float, zeta: float, noise: NoiseModel = NoiseModel()) ->
     """Parameters with the requested SNR at the given edge dependence.
 
     Inverts the SNR relation: kappa = 2 K(4 zeta) / (pi snr sigma^2).
+    Raises ValueError, naming zeta, SNR and sigma^2, where kappa is not a
+    positive finite double.
     """
+    if not 0.0 <= zeta < 0.25:
+        raise ValueError(f"zeta must lie in [0, 1/4), got {zeta!r}")
     if not 0.0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")
     kappa = 2.0 * elliptic_k(4.0 * zeta) / (math.pi * snr * noise.sigma2)
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa = 2 K(4 zeta)/(pi SNR sigma^2) = {kappa!r} is not a positive "
+                         f"finite double at zeta = {zeta!r}, SNR = {snr!r}, "
+                         f"sigma^2 = {noise.sigma2!r}")
     return SfcarParams(kappa=kappa, zeta=zeta)

@@ -44,12 +44,8 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._one_line(message))
-
-    @staticmethod
-    def _one_line(message):
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise SystemExit(EXIT_VALIDATION)
 
 
 def _add_quad_flags(p):

@@ -282,7 +282,7 @@ def exp_density_scaling(area: float, alpha: float, snr: float,
     mus = sweep.column("density")
     if _span_decades(mus) < 1.0:
         raise ValueError("sweep must span at least one decade of density")
-    sel = mus >= mus.max() / 10.0
+    sel = _top_decade(mus)
     exponent, icept, r2 = _ols(np.log(mus[sel]), np.log(sweep.column("per_node_kli")[sel]))
     fit = FitResult(
         model="power_law",
@@ -350,44 +350,22 @@ def exp_energy_scaling(base: NetworkConfig, scenario: str,
     values = sorted(float(v) for v in sweep_values)
     if len(values) < 4:
         raise ValueError("need at least 4 sweep points")
+    sensing = scenario == "fixed_area_sensing_sweep"
     rows: List[Tuple[float, Dict[str, float]]] = []
-    if scenario == "fixed_area_sensing_sweep":
-        for es in values:
-            report = evaluate_network(replace(base, sensing_energy=es), spec)
-            rows.append(
-                (
-                    es,
-                    {
-                        "snr": report.snr,
-                        "energy": report.total_energy,
-                        "total_kli": report.total_kli,
-                        "total_mi": report.total_mi,
-                        "mi_over_half_log_e": report.total_mi
-                        / (report.node_count * 0.5 * math.log(report.snr)),
-                    },
-                )
-            )
-        param = "sensing_energy"
-    else:
-        for v in values:
-            report = evaluate_network(replace(base, n=int(v)), spec)
-            rows.append(
-                (
-                    v,
-                    {
-                        "snr": report.snr,
-                        "energy": report.total_energy,
-                        "total_kli": report.total_kli,
-                        "total_mi": report.total_mi,
-                    },
-                )
-            )
-        param = "n"
-    sweep = SweepResult(param, tuple(rows))
+    for v in values:
+        config = replace(base, sensing_energy=v) if sensing else replace(base, n=int(v))
+        report = evaluate_network(config, spec)
+        outputs = {"snr": report.snr, "energy": report.total_energy,
+                   "total_kli": report.total_kli, "total_mi": report.total_mi}
+        if sensing:
+            outputs["mi_over_half_log_e"] = report.total_mi / (
+                report.node_count * 0.5 * math.log(report.snr))
+        rows.append((v, outputs))
+    sweep = SweepResult("sensing_energy" if sensing else "n", tuple(rows))
     energies = sweep.column("energy")
     if _span_decades(energies) < 2.0:
         raise ValueError("energy sweep must span at least 2 decades")
-    if scenario == "fixed_area_sensing_sweep":
+    if sensing:
         slope_mi, icept_mi, r2 = _ols(np.log(energies), sweep.column("total_mi"))
         slope_kli, icept_kli, _ = _ols(np.log(energies), sweep.column("total_kli"))
         fit = FitResult(

@@ -52,6 +52,17 @@ class NetworkConfig:
             raise ValueError("alpha must be positive and finite")
         if not 0.0 < self.noise_sigma2 < math.inf:
             raise ValueError("noise variance must be positive and finite")
+        for name, quantity in (("d^nu", lambda: self.spacing**self.loss_exponent),
+                               ("the area", lambda: ((self.n - 1) * self.spacing) ** 2),
+                               ("the density", lambda: density(self)),
+                               ("the energy", lambda: total_energy(self))):
+            try:
+                finite = quantity() < math.inf
+            except ArithmeticError:  # an overflow, or n^2 over an area of 0
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} overflows at n = {self.n:.6g}, "
+                                 f"spacing = {self.spacing!r}, nu = {self.loss_exponent!r}")
 
 
 @dataclass(frozen=True)

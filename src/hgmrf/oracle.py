@@ -85,6 +85,18 @@ def torus_eigenvalues(params: SfcarParams, n: int) -> np.ndarray:
     return q
 
 
+def _bin_snrs(params: SfcarParams, noise: NoiseModel, ck: np.ndarray, cl: np.ndarray):
+    # s_kl = 1/(q_kl sigma^2); a product that leaves the finite doubles
+    # raises, instead of a numpy warning, and the error names the inputs
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            return 1.0 / (_eigenvalues(params, ck, cl) * noise.sigma2)
+        except FloatingPointError as exc:
+            raise ValueError(f"bin SNR 1/(q sigma^2) out of range ({exc}) at kappa = "
+                             f"{params.kappa!r}, zeta = {params.zeta!r}, "
+                             f"sigma^2 = {noise.sigma2!r}") from None
+
+
 def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
                          lattice: LatticeSpec) -> RateResult:
     """Exact per-node KLI and MI on the finite lattice.
@@ -100,7 +112,7 @@ def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
     rows = max(1, _BLOCK_ELEMS // n)
     kli = mi = 0.0
     for lo in range(0, n, rows):
-        s = 1.0 / (_eigenvalues(params, c[lo : lo + rows], c) * noise.sigma2)
+        s = _bin_snrs(params, noise, c[lo : lo + rows], c)
         kli += float(np.sum(kli_integrand(s)))
         mi += float(np.sum(0.5 * np.log1p(s)))
     return RateResult(kli / (n * n), mi / (n * n), n, True)
@@ -116,25 +128,25 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
 
         llr_bin = 0.5 log(1+s_kl) - 0.5 |Yhat_kl|^2 s_kl / (sigma^2 (1+s_kl)),
 
-    s_kl = 1/(q_kl sigma^2).  The replicate mean converges almost surely
-    to the finite-lattice KLI.  Every replicate draws its n x n standard
-    normals in turn from one Philox stream seeded with mc.seed, so the
-    result is bit-identical for a given seed and numpy version.  Requires
-    replicates >= 2 for a standard error.
+    s_kl = 1/(q_kl sigma^2), with Y = sigma Z drawn as Z.  The replicate
+    mean converges almost surely to the finite-lattice KLI.  Every replicate
+    draws its n x n standard normals in turn from one Philox stream seeded
+    with mc.seed, so the result is bit-identical for a given seed and numpy
+    version.  Requires replicates >= 2 for a standard error.
     """
     if mc.replicates < 2:
         raise ValueError("at least 2 replicates are needed for a standard error")
-    s2 = noise.sigma2
-    q = torus_eigenvalues(params, n)
-    s = 1.0 / (q * s2)
+    if n < 2:
+        raise ValueError("lattice side must be >= 2")
+    c = _cosines(n, "torus")
+    s = _bin_snrs(params, noise, c, c)
     log_term = float(np.sum(0.5 * np.log1p(s)))
-    weight = 0.5 * s / (s2 * (1.0 + s))
+    weight = 0.5 * s / (1.0 + s)
     norm = float(n * n)
     gen = np.random.Generator(np.random.Philox(mc.seed))
     values = np.empty(mc.replicates)
     for r in range(mc.replicates):
-        y = math.sqrt(s2) * gen.standard_normal((n, n))
-        power = np.abs(np.fft.fft2(y, norm="ortho")) ** 2
+        power = np.abs(np.fft.fft2(gen.standard_normal((n, n)), norm="ortho")) ** 2
         values[r] = (log_term - float(np.sum(weight * power))) / norm
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(mc.replicates))

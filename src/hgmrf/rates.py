@@ -98,10 +98,20 @@ def _doubling_rates(eval_sums, spec: QuadratureSpec, zero_floor: float) -> RateR
     return RateResult(prev[0], prev[1], n, False)
 
 
+#: Largest SNR/scale c the SFCAR kernel takes: its log1p argument ~2c/(A + r0),
+#: A + r0 >= 1/2, first overflows at c = 4.5e307 (delta = 0) to 9.0e307 (1).
+_C_MAX = sys.float_info.max / 4.0
+
+
 def _sfcar_quadrature(delta: float, scale: float, snr: float,
                       spec: QuadratureSpec) -> RateResult:
     # the one rate path of the symmetric first-order field: delta = 1 - 4 zeta
     c = snr / scale
+    if c == 0.0:  # below the smallest double: so are both rates
+        return RateResult(0.0, 0.0, 0, True)
+    if c > _C_MAX:
+        raise ValueError(f"SNR/scale = {c!r} is above {_C_MAX!r}, where the rate "
+                         "integrand overflows")
     return _doubling_rates(lambda n: _kernels_py.sfcar_grid_sums(c, delta, n), spec,
                            _SFCAR_ZERO_FLOOR)
 

@@ -59,6 +59,10 @@ class TestSfcar:
             SfcarParams(kappa=0.0, zeta=0.1)
         with pytest.raises(ValueError):
             NoiseModel(sigma2=0.0)
+        with pytest.raises(ValueError):
+            SfcarParams(kappa=math.inf, zeta=0.1)
+        with pytest.raises(ValueError):
+            NoiseModel(sigma2=math.inf)
 
     def test_spectrum_iid(self):
         params = SfcarParams(kappa=1.0, zeta=0.0)
@@ -127,6 +131,15 @@ class TestPowerAndSnr:
             for zeta in (0.0, 0.1, 0.2499):
                 params = sfcar_from_snr(snr, zeta, noise)
                 assert sfcar_snr(params, noise) == pytest.approx(snr, rel=1e-12)
+
+    @pytest.mark.parametrize("snr, zeta, sigma2", [(1.0, 0.25, 1.0), (1e308, 0.1, 1.0),
+                                                   (1.0, 0.1, 1e-320)])
+    def test_from_snr_names_its_inputs(self, snr, zeta, sigma2):
+        # kappa = inf at sigma^2 = 1e-320 used to pass as a valid field
+        with pytest.raises(ValueError, match="zeta") as info:
+            sfcar_from_snr(snr, zeta, NoiseModel(sigma2))
+        if zeta < 0.25:
+            assert "SNR" in str(info.value) and "sigma^2" in str(info.value)
 
     def test_from_snr_trivial_kappas(self):
         assert sfcar_from_snr(1.0, 0.0, NoiseModel(1.0)).kappa == pytest.approx(1.0)

@@ -305,6 +305,28 @@ class TestErrorPaths:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["rates", "--zeta", "0.1", "--snr", "1e308"], "SNR/scale"),
+            (["network", "--n", "4", "--spacing", "1e155"], "spacing"),
+            (["oracle", "--zeta", "0.1", "--snr", "1", "--n", "8", "--sigma2", "1e-320"],
+             "sigma^2"),
+            (["oracle", "--zeta", "0.25", "--snr", "1", "--n", "8"], "zeta"),
+            (["mc", "--zeta", "0.1", "--snr", "1e308", "--n", "8", "--replicates", "2",
+              "--seed", "1"], "SNR"),
+        ],
+    )
+    def test_overflow_is_one_line_outside_pytest(self, argv, named):
+        # numpy's RuntimeWarnings, shown under -W default, used to precede the
+        # error line; the oracle at sigma^2 = 1e-320 exited 0 with KLI = MI = 0
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "hgmrf.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and named in proc.stderr
+
     def test_console_script_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "hgmrf.cli", "rates", "--zeta", "0", "--snr", "1"],
@@ -335,7 +357,11 @@ PROPERTY_FORMS = {
     "rates-spacing": ("rates", ("alpha", "spacing", "snr")),
     "map": ("map", ("alpha", "spacing")),
     "network": ("network", ("spacing", "alpha", "beta", "es", "e0", "nu", "sigma2")),
+    "oracle": ("oracle", ("zeta", "snr", "sigma2")),
+    "mc": ("mc", ("zeta", "snr", "sigma2")),
 }
+#: Fixed integer flags of the forms that need them.
+FIXED_FLAGS = {"oracle": ["--n=8"], "mc": ["--n=8", "--replicates=2", "--seed=1"]}
 
 #: Every float, with the ends of the double range drawn more often.
 any_float = st.floats() | st.sampled_from(
@@ -376,6 +402,7 @@ def test_any_float_gives_status_and_finite_output(form, data, fmt):
     if command == "network":
         n = data.draw(st.integers(2, 64) | st.integers(-3, 10**200), label="n")
         argv.append(f"--n={n}")
+    argv += FIXED_FLAGS.get(command, [])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(argv)

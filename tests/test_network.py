@@ -95,6 +95,19 @@ class TestTotalEnergy:
             NetworkConfig(**{"n": 4, "spacing": 1.0, field: value})
 
 
+    @pytest.mark.parametrize("kwargs, quantity", [
+        ({"spacing": 1e155}, "d^nu"),
+        ({"spacing": 1e100, "loss_exponent": 3.5}, "d^nu"),
+        ({"spacing": 1e-200, "alpha": 1e100}, "density"),
+        ({"spacing": 1e100, "sensing_energy": 1e308}, "energy"),
+    ])
+    def test_config_names_the_overflowing_quantity(self, kwargs, quantity):
+        # used to reach the user as a bare OverflowError from evaluate_network
+        with pytest.raises(ValueError, match="spacing") as info:
+            NetworkConfig(n=4, **kwargs)
+        assert quantity in str(info.value)
+
+
 class TestEvaluateNetwork:
     def test_wide_spacing_gives_uncorrelated_rates(self):
         cfg = NetworkConfig(n=32, spacing=50.0, sensing_energy=1.0,

@@ -11,6 +11,7 @@ from hgmrf.oracle import (
     sample_llr_per_node,
     torus_eigenvalues,
 )
+from hgmrf.physmap import ZETA_MAX
 from hgmrf.rates import kli_integrand, sfcar_rates
 
 STEIN_KLI = 0.5 * math.log(2.0) + 0.25 - 0.5
@@ -132,6 +133,16 @@ class TestFiniteLatticeRates:
         free = finite_lattice_rates(params, noise, LatticeSpec(64, "free"))
         torus = finite_lattice_rates(params, noise, LatticeSpec(64))
         assert abs(free.mi_rate - torus.mi_rate) <= 5e-2
+
+    @pytest.mark.parametrize("kappa, zeta, sigma2", [(1.2e308, 0.2, 1.0), (1e-299, ZETA_MAX, 1.0),
+                                                     (1.0, 0.1, 1e-310)])
+    def test_bin_snr_out_of_range(self, kappa, zeta, sigma2):
+        # q = kappa (1 + 4 zeta) overflows, or 1/(q sigma^2) does
+        params, noise = SfcarParams(kappa, zeta), NoiseModel(sigma2)
+        with pytest.raises(ValueError, match="bin SNR"):
+            finite_lattice_rates(params, noise, LatticeSpec(8))
+        with pytest.raises(ValueError, match="bin SNR"):
+            sample_llr_per_node(params, noise, 8, MonteCarloSpec(2, 1))
 
     def test_lattice_validation(self):
         with pytest.raises(ValueError):

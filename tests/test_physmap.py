@@ -112,10 +112,26 @@ class TestRhoFromZeta:
         with pytest.raises(ValueError):
             rho_from_zeta(0.2500001)
 
+    @pytest.mark.parametrize("zeta", [1e-300, 1e-8, 0.0099, 0.01, 0.0101, ZETA_MAX]
+                             + [float(z) for z in np.linspace(0.0, ZETA_MAX, 41)[1:]])
+    def test_matches_high_precision(self, zeta):
+        # no branch near zeta = 0.01 (the series there was 1.2e-12 off); at
+        # ZETA_MAX the 50-digit value is 0.91906499746737164553...
+        assert rho_from_zeta(zeta) == pytest.approx(float(_mp_rho(zeta)), rel=1e-15, abs=0.0)
+
     def test_strictly_increasing(self):
         # zeta_from_rho inverts this map by bisection
         rhos = [rho_from_zeta(z) for z in np.linspace(0.0, ZETA_MAX, 1000)]
         assert all(b > a for a, b in zip(rhos, rhos[1:]))
+
+
+def _mp_rho(zeta):
+    """rho = (g - 1)/(4 zeta g), g = (2/pi) K(16 zeta^2) from mpmath's ellipk
+    (parameter convention), with the digits g - 1 ~ 4 zeta^2 cancels."""
+    with mp.workdps(50 + 2 * max(0, int(-mp.log10(zeta)))):
+        z = mp.mpf(zeta)
+        g = 2 / mp.pi * mp.ellipk(16 * z * z)
+        return (g - 1) / (4 * z * g)
 
 
 class TestZetaFromRho:
@@ -181,7 +197,7 @@ class TestZetaFromRho:
     def test_scale_continuous_across_saturation(self):
         # the two adjacent spacings between which rho falls through
         # rho_from_zeta(ZETA_MAX), the largest rho a double zeta < 1/4 reaches
-        lo, hi = PhysicalField(1.0, 0.2944760646472482), PhysicalField(1.0, 0.29447606464724824)
+        lo, hi = PhysicalField(1.0, 0.2944760646472484), PhysicalField(1.0, 0.29447606464724846)
         assert edge_correlation(lo) > rho_from_zeta(ZETA_MAX) >= edge_correlation(hi)
         above = spectral_parameters(lo)[2]
         below = spectral_parameters(hi)[2]
@@ -225,6 +241,19 @@ class TestZetaFromSpacing:
         field = PhysicalField(alpha=1e-100, spacing=1e-100)
         assert edge_correlation(field) == 1.0
         assert zeta_from_spacing(field) == 0.25
+
+    @pytest.mark.parametrize("alpha_d", [1.5, 2.0, 3.0, 5.0, 8.0, 20.0, 100.0, 400.0])
+    def test_matches_high_precision_solve(self, alpha_d):
+        # rho = alpha d K_1(alpha d) at 50 digits, then rho(zeta) = rho solved
+        # for zeta in [rho/4, rho] (rho/zeta rises from 1 to 4)
+        with mp.workdps(50):
+            rho = alpha_d * mp.besselk(1, alpha_d)
+        with mp.workdps(50 + 2 * int(-mp.log10(rho))):
+            bracket = (rho / 4, min(rho, mp.mpf(ZETA_MAX)))
+            ref = mp.findroot(lambda z: _mp_rho(z) / rho - 1, bracket, solver="illinois",
+                              verify=False)
+        field = PhysicalField(alpha=1.0, spacing=alpha_d)
+        assert zeta_from_spacing(field) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
     def test_strictly_decreasing_in_spacing(self):
         # restrict to the unsaturated range; beyond it the map is clamped

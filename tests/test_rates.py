@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -101,6 +102,26 @@ class TestSfcarRates:
             sfcar_rates(-0.01, 1.0)
         with pytest.raises(ValueError):
             sfcar_rates(0.1, 0.0)
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.1])
+    def test_snr_over_scale_beyond_kernel_range(self, zeta):
+        # the kernel overflows from SNR/scale ~ max/4 at 1 - 4 zeta = 0
+        with pytest.raises(ValueError, match="SNR/scale"):
+            sfcar_rates(zeta, 1e308)
+
+    @pytest.mark.parametrize("zeta, snr", [(0.0, sys.float_info.max / 4),
+                                           (ZETA_MAX, sys.float_info.max)])
+    def test_finite_up_to_kernel_range(self, zeta, snr):
+        # SNR/scale = max/4 at zeta = 0, and max/12.4 at ZETA_MAX
+        res = sfcar_rates(zeta, snr)
+        assert res.converged and 353.0 < res.kli_rate < res.mi_rate < 355.0
+
+    def test_snr_over_scale_below_smallest_double(self):
+        # SNR/scale = 1e-136/1e272 rounds to 0 with 1 - 4 zeta = 0: the
+        # kernel met 0/0 at w1 = 0; both rates are 0 to double precision
+        field = PhysicalField(1.098620830009533e-136, 0.1)
+        res = sfcar_rates_at_spacing(field, 1.098620830009533e-136)
+        assert (res.kli_rate, res.mi_rate, res.converged) == (0.0, 0.0, True)
 
 
 class TestHighPrecisionCrossValidation:

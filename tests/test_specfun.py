@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from hgmrf.specfun import (
     QuadratureSpec,
+    agm,
     bessel_k1,
     elliptic_k,
     K1_CROSSOVER,
@@ -39,6 +41,30 @@ class TestEllipticK:
         for k in np.linspace(0.0, 0.98, 50):
             ref = elliptic_k_oracle(k)
             assert elliptic_k(k) == pytest.approx(ref, rel=1e-14)
+
+
+    @pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.999, 1 - 1e-8, 1 - 1e-15])
+    def test_matches_high_precision(self, k):
+        with mp.workdps(50):
+            ref = mp.ellipk(mp.mpf(k) ** 2)
+        assert elliptic_k(k) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
+
+class TestAgm:
+    @pytest.mark.parametrize("j", [1, 4, 10, 20, 30, 40, 52, 53])
+    def test_complement_as_k_prime_nears_one(self, j):
+        # k' = 1 - 2^-j and 1 - k' are both exact doubles
+        k_prime, one_minus = 1.0 - 2.0**-j, 2.0**-j
+        with mp.workdps(50):
+            mean = mp.agm(1, mp.mpf(k_prime))
+            ratio = (1 - mean) / mp.mpf(one_minus)
+        m, r = agm(k_prime, one_minus)
+        assert m == pytest.approx(float(mean), rel=1e-15, abs=0.0)
+        assert r == pytest.approx(float(ratio), rel=1e-15, abs=0.0)
+
+    def test_complement_beyond_rounding_of_k_prime(self):
+        # 1 - k' = 1e-300 rounds k' to 1; (1 - M)/(1 - k') = (1 + (1 - k')/8)/2 + ...
+        assert agm(1.0, 1e-300) == (1.0, 0.5)
 
 
 class TestBesselK1:
@@ -82,6 +108,15 @@ class TestBesselK1:
         below = bessel_k1(np.nextafter(K1_CROSSOVER, 0.0))
         above = bessel_k1(np.nextafter(K1_CROSSOVER, 4.0))
         assert below == pytest.approx(above, rel=1e-10)
+
+    @pytest.mark.parametrize("x", [2.0, float(np.nextafter(2.0, 3.0)), 2.5, 3.3, 5.0, 8.0,
+                                   13.0, 30.0, 77.7, 150.0, 300.0, 512.0, 700.0])
+    def test_integral_branch_matches_high_precision(self, x):
+        with mp.workdps(50):
+            k1 = mp.besselk(1, x)
+            complement = 1 - x * k1
+        assert bessel_k1(x) == pytest.approx(float(k1), rel=2e-15, abs=0.0)
+        assert one_minus_x_k1(x) == pytest.approx(float(complement), rel=2e-15, abs=0.0)
 
     def test_against_integral_oracle(self, bessel_k1_oracle):
         for x in np.logspace(math.log10(0.05), math.log10(30.0), 50):
