@@ -2,9 +2,10 @@
 
 ``sfcar_grid_sums`` averages the symmetric first-order integrands over w1
 alone, the w2 integral being closed-form; ``car_grid_sums`` sums a general
-CAR field over a 2-D midpoint grid, blocked over rows to bound memory, with
-the precision symbol on each block from ``car_symbol``.  Every reduction
-runs in a fixed order, so repeated calls are bit-identical.
+CAR field over the half of a 2-D midpoint grid that the point reflection
+w -> -w does not map onto itself, in cache-sized row blocks, with the
+precision symbol on each block from ``car_symbol``.  Every reduction runs
+in a fixed order, so repeated calls are bit-identical.
 """
 
 import math
@@ -13,8 +14,9 @@ import numpy as np
 
 from .specfun import midpoint_grid
 
-# Rows per block are chosen so a block never exceeds ~256K doubles.
-_BLOCK_ELEMS = 1 << 18
+# Rows per block are chosen so a block never exceeds 32K doubles: each of its
+# ~6 temporaries (256 KB) stays in a core's L2 cache, where 2^18 ran 3x slower.
+_BLOCK_ELEMS = 1 << 15
 
 #: The w1 rule runs x = log tan(w1/2) down from this value, where
 #: pi - w1 ~ 2 exp(-x) leaves out less than 1e-16 of the average.
@@ -116,7 +118,13 @@ def car_symbol(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray,
 
 def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: float, n: int):
     """Midpoint-grid means for den(w) = sum_t theta[t]*cos(oi[t]*w1 + oj[t]*w2),
-    s = 1/(sigma2*den).  Returns (kli_mean, mi_mean, min_den)."""
+    s = 1/(sigma2*den).  Returns (kli_mean, mi_mean, min_den).
+
+    The taps must be symmetric, as ``CarCoefficients`` stores them: then
+    den(-w) = den(w), and -w_k = w_{n-1-k} on the midpoint grid, so rows
+    k < n//2 are summed once with weight 2, odd n adds its middle row
+    once, and min_den comes from the same half grid.
+    """
     if n < 1:
         raise ValueError("grid side must be >= 1")
     theta = np.asarray(theta, dtype=np.float64)
@@ -125,12 +133,14 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
     if oi.shape != theta.shape or oj.shape != theta.shape:
         raise ValueError("tap arrays must have equal length")
     w = midpoint_grid(n)
-    rows = max(1, min(n, _BLOCK_ELEMS // n))
+    mult = np.where(np.arange((n + 1) // 2) < n // 2, 2.0, 1.0)
+    rows = max(1, min(mult.size, _BLOCK_ELEMS // n))
     kli_parts = []
     mi_parts = []
     min_den = np.inf
-    for lo in range(0, n, rows):
-        den = car_symbol(theta, oi, oj, w[lo : lo + rows], w)
+    for lo in range(0, mult.size, rows):
+        r = mult[lo : lo + rows]
+        den = car_symbol(theta, oi, oj, w[lo : lo + r.size], w)
         low = float(den.min())
         min_den = min(min_den, low)
         if low <= 0.0:
@@ -138,7 +148,7 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
             den = np.where(den > 0.0, den, np.inf)
         s = 1.0 / (sigma2 * den)
         halflog = 0.5 * np.log1p(s)
-        mi_parts.append(np.sum(halflog))
-        kli_parts.append(np.sum(halflog - 0.5 * s / (1.0 + s)))
+        mi_parts.append(r @ np.sum(halflog, axis=1))
+        kli_parts.append(r @ np.sum(halflog - 0.5 * s / (1.0 + s), axis=1))
     norm = float(n) * float(n)
     return float(np.sum(kli_parts)) / norm, float(np.sum(mi_parts)) / norm, min_den

@@ -68,8 +68,9 @@ class CarCoefficients:
         self._oj = offs[:, 1].copy()
         self._vals = np.array(list(self._theta.values()), dtype=np.float64)
         if validate:
+            # the symbol is even in w, so rows k and 255 - k hold the same values
             w = midpoint_grid(_VALIDATION_GRID)
-            den = car_symbol(self._vals, self._oi, self._oj, w, w)
+            den = car_symbol(self._vals, self._oi, self._oj, w[: _VALIDATION_GRID // 2], w)
             if not np.all(den > 0.0):
                 raise ValueError(
                     "invalid autoregression: precision symbol is not positive "

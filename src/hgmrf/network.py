@@ -61,8 +61,11 @@ class NetworkConfig:
             except ArithmeticError:  # an overflow, or n^2 over an area of 0
                 finite = False
             if not finite:
+                energies = (f", E_s = {self.sensing_energy!r}, E_0 = {self.comm_energy_coeff!r}"
+                            if name == "the energy" else "")
                 raise ValueError(f"{name} overflows at n = {self.n:.6g}, "
-                                 f"spacing = {self.spacing!r}, nu = {self.loss_exponent!r}")
+                                 f"spacing = {self.spacing!r}, nu = {self.loss_exponent!r}"
+                                 + energies)
 
 
 @dataclass(frozen=True)

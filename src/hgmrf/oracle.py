@@ -57,9 +57,9 @@ class MonteCarloSpec:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-def _eigenvalues(params: SfcarParams, ck: np.ndarray, cl: np.ndarray) -> np.ndarray:
-    # q_kl on the grid of 1-D eigenfrequency cosines ck x cl
-    return params.kappa * (1.0 - 2.0 * params.zeta * ck[:, None] - 2.0 * params.zeta * cl[None, :])
+def _eigenvalues(scale, zeta: float, ck: np.ndarray, cl: np.ndarray) -> np.ndarray:
+    # scale (1 - 2 zeta c_k - 2 zeta c_l) on the cosine grid ck x cl: q_kl at kappa
+    return scale * (1.0 - 2.0 * zeta * ck[:, None] - 2.0 * zeta * cl[None, :])
 
 
 def _cosines(n: int, boundary: str) -> np.ndarray:
@@ -68,6 +68,13 @@ def _cosines(n: int, boundary: str) -> np.ndarray:
     if boundary == "free":
         return np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
     return np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def _mirror_weights(n: int) -> np.ndarray:
+    # how many torus frequencies k = 0..n-1 share the cosine of each
+    # k = 0..n//2: k and n - k do, except k = 0 and, for even n, k = n/2
+    k = np.arange(n // 2 + 1)
+    return np.where((k == 0) | (2 * k == n), 1.0, 2.0)
 
 
 def torus_eigenvalues(params: SfcarParams, n: int) -> np.ndarray:
@@ -79,18 +86,19 @@ def torus_eigenvalues(params: SfcarParams, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("lattice side must be >= 2")
     c = _cosines(n, "torus")
-    q = _eigenvalues(params, c, c)
+    q = _eigenvalues(params.kappa, params.zeta, c, c)
     if not np.all(q > 0.0):
         raise AssertionError("torus precision eigenvalues must be positive")
     return q
 
 
 def _bin_snrs(params: SfcarParams, noise: NoiseModel, ck: np.ndarray, cl: np.ndarray):
-    # s_kl = 1/(q_kl sigma^2); a product that leaves the finite doubles
-    # raises, instead of a numpy warning, and the error names the inputs
+    # s_kl = 1/((kappa sigma^2)(1 - 2 zeta c_k - 2 zeta c_l)): kappa sigma^2 =
+    # 2 K(4 zeta)/(pi SNR) is finite even where kappa alone is extreme.  A product
+    # that leaves the finite doubles raises, and the error names the inputs
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
-            return 1.0 / (_eigenvalues(params, ck, cl) * noise.sigma2)
+            return 1.0 / _eigenvalues(np.float64(params.kappa) * noise.sigma2, params.zeta, ck, cl)
         except FloatingPointError as exc:
             raise ValueError(f"bin SNR 1/(q sigma^2) out of range ({exc}) at kappa = "
                              f"{params.kappa!r}, zeta = {params.zeta!r}, "
@@ -102,19 +110,25 @@ def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
     """Exact per-node KLI and MI on the finite lattice.
 
     Sums the spectral integrands over the closed-form precision
-    eigenvalues of either boundary (no approximation).  The result's
-    quadrature_points field carries the lattice side.
+    eigenvalues of either boundary (no approximation).  On the torus theta_k
+    and theta_{n-k} share a cosine, so each axis runs over its n//2 + 1
+    distinct cosines weighted by multiplicity: a quarter of the eigenvalues
+    for the same sum.  The result's quadrature_points field carries the
+    lattice side.
     """
     n = lattice.n
     c = _cosines(n, lattice.boundary)
+    mult = _mirror_weights(n) if lattice.boundary == "torus" else np.ones(n)
+    c = c[: mult.size]
     # summed over blocks of rows, whose temporaries stay small: n^2-sized
     # ones would raise the peak memory of the process
-    rows = max(1, _BLOCK_ELEMS // n)
+    rows = max(1, _BLOCK_ELEMS // c.size)
     kli = mi = 0.0
-    for lo in range(0, n, rows):
+    for lo in range(0, c.size, rows):
         s = _bin_snrs(params, noise, c[lo : lo + rows], c)
-        kli += float(np.sum(kli_integrand(s)))
-        mi += float(np.sum(0.5 * np.log1p(s)))
+        r = mult[lo : lo + rows]
+        kli += float(r @ (kli_integrand(s) @ mult))
+        mi += float(r @ (0.5 * np.log1p(s) @ mult))
     return RateResult(kli / (n * n), mi / (n * n), n, True)
 
 
@@ -128,7 +142,9 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
 
         llr_bin = 0.5 log(1+s_kl) - 0.5 |Yhat_kl|^2 s_kl / (sigma^2 (1+s_kl)),
 
-    s_kl = 1/(q_kl sigma^2), with Y = sigma Z drawn as Z.  The replicate
+    s_kl = 1/(q_kl sigma^2), with Y = sigma Z drawn as Z.  Z is real, so its
+    spectrum is Hermitian, and s_kl is even: the sum runs over the real-input
+    FFT's columns l = 0..n//2, weighted like the torus cosines.  The replicate
     mean converges almost surely to the finite-lattice KLI.  Every replicate
     draws its n x n standard normals in turn from one Philox stream seeded
     with mc.seed, so the result is bit-identical for a given seed and numpy
@@ -139,14 +155,16 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
     if n < 2:
         raise ValueError("lattice side must be >= 2")
     c = _cosines(n, "torus")
-    s = _bin_snrs(params, noise, c, c)
-    log_term = float(np.sum(0.5 * np.log1p(s)))
-    weight = 0.5 * s / (1.0 + s)
+    col = _mirror_weights(n)
+    s = _bin_snrs(params, noise, c, c[: col.size])
+    log_term = float(np.sum(0.5 * np.log1p(s) @ col))
+    weight = 0.5 * s / (1.0 + s) * col
     norm = float(n * n)
     gen = np.random.Generator(np.random.Philox(mc.seed))
     values = np.empty(mc.replicates)
     for r in range(mc.replicates):
-        power = np.abs(np.fft.fft2(gen.standard_normal((n, n)), norm="ortho")) ** 2
+        spectrum = np.fft.rfft2(gen.standard_normal((n, n)), norm="ortho")
+        power = spectrum.real**2 + spectrum.imag**2
         values[r] = (log_term - float(np.sum(weight * power))) / norm
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(mc.replicates))

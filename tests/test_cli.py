@@ -126,6 +126,14 @@ class TestOracleCommand:
         got = float(parse_single_row_csv(out)["kli"])
         assert got == pytest.approx(want, abs=1e-6)
 
+    def test_bin_snrs_of_extreme_kappa(self, capsys):
+        # kappa ~ 1e308 here; kappa times an eigenvalue factor used to overflow
+        status, out, _ = run_cli(["oracle", "--zeta", "0.2", "--snr", "1e-300", "--sigma2",
+                                  "1.1e-8", "--n", "8"], capsys)
+        assert status == 0
+        row = parse_single_row_csv(out)
+        assert math.isfinite(float(row["kli"])) and 0.0 < float(row["mi"]) < math.inf
+
     def test_free_boundary_has_no_side_cap(self, capsys):
         status, out, _ = run_cli(
             ["oracle", "--boundary", "free", "--n", "256", "--zeta", "0.1", "--snr", "10",
@@ -310,6 +318,7 @@ class TestErrorPaths:
         [
             (["rates", "--zeta", "0.1", "--snr", "1e308"], "SNR/scale"),
             (["network", "--n", "4", "--spacing", "1e155"], "spacing"),
+            (["network", "--n", "4", "--spacing", "1e100", "--es", "1e308"], "1e+308"),
             (["oracle", "--zeta", "0.1", "--snr", "1", "--n", "8", "--sigma2", "1e-320"],
              "sigma^2"),
             (["oracle", "--zeta", "0.25", "--snr", "1", "--n", "8"], "zeta"),

@@ -70,6 +70,34 @@ class TestFiniteLatticeRates:
             assert res.kli_rate == pytest.approx(STEIN_KLI, abs=1e-11)
             assert res.mi_rate == pytest.approx(HALF_LOG2, abs=1e-11)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 65])
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2499])
+    def test_torus_matches_unfolded_eigenvalue_sum(self, n, zeta):
+        # the sum over distinct cosines, weighted by multiplicity, against
+        # all n^2 eigenvalues
+        noise = NoiseModel(1.0)
+        params = sfcar_from_snr(10.0, zeta, noise)
+        c = np.cos(2.0 * np.pi * np.arange(n) / n)
+        s = 1.0 / (params.kappa * (1.0 - 2.0 * zeta * c[:, None] - 2.0 * zeta * c[None, :]))
+        res = finite_lattice_rates(params, noise, LatticeSpec(n))
+        assert res.kli_rate == pytest.approx(np.mean(kli_integrand(s)), rel=1e-14, abs=0)
+        assert res.mi_rate == pytest.approx(np.mean(0.5 * np.log1p(s)), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("boundary", ["torus", "free"])
+    @pytest.mark.parametrize("zeta, snr", [(0.1, 10.0), (0.2, 1e-300)])
+    def test_rates_at_fixed_snr_do_not_depend_on_sigma2(self, boundary, zeta, snr):
+        # kappa = 2 K(4 zeta)/(pi SNR sigma^2) reaches 1e308 at sigma^2 = 1.1e-8
+        # and SNR = 1e-300, where kappa times an eigenvalue factor overflows
+        got = []
+        for sigma2 in (1.0, 1e-5, 1.1e-8):
+            noise = NoiseModel(sigma2)
+            res = finite_lattice_rates(sfcar_from_snr(snr, zeta, noise), noise,
+                                       LatticeSpec(8, boundary))
+            got.append((res.kli_rate, res.mi_rate))
+        for kli, mi in got[1:]:
+            assert kli == pytest.approx(got[0][0], rel=1e-14, abs=0)
+            assert mi == pytest.approx(got[0][1], rel=1e-14, abs=0)
+
     def test_torus_matches_spectral_integral(self):
         noise = NoiseModel(1.0)
         params = sfcar_from_snr(10.0, 0.1, noise)
@@ -137,7 +165,7 @@ class TestFiniteLatticeRates:
     @pytest.mark.parametrize("kappa, zeta, sigma2", [(1.2e308, 0.2, 1.0), (1e-299, ZETA_MAX, 1.0),
                                                      (1.0, 0.1, 1e-310)])
     def test_bin_snr_out_of_range(self, kappa, zeta, sigma2):
-        # q = kappa (1 + 4 zeta) overflows, or 1/(q sigma^2) does
+        # kappa sigma^2 (1 + 4 zeta) overflows, or its reciprocal does
         params, noise = SfcarParams(kappa, zeta), NoiseModel(sigma2)
         with pytest.raises(ValueError, match="bin SNR"):
             finite_lattice_rates(params, noise, LatticeSpec(8))
@@ -164,7 +192,25 @@ class TestMonteCarloLlr:
         # the seeded Philox stream and the reduction order fix every bit
         spec = MonteCarloSpec(replicates=50, seed=987654321)
         got = sample_llr_per_node(sfcar_from_snr(10.0, 0.1), NoiseModel(1.0), 16, spec)
-        assert got == (0.7435574296504085, 0.005000156321251556)
+        assert got == (0.7435574296504085, 0.005000156321251557)
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_matches_full_spectrum_replay(self, n):
+        # the same Philox stream through the complex 2-D DFT, every bin summed
+        noise = NoiseModel(1.0)
+        params = sfcar_from_snr(10.0, 0.1, noise)
+        spec = MonteCarloSpec(replicates=20, seed=2718)
+        c = np.cos(2.0 * np.pi * np.arange(n) / n)
+        s = 1.0 / (params.kappa * (1.0 - 0.2 * c[:, None] - 0.2 * c[None, :]))
+        gen = np.random.Generator(np.random.Philox(spec.seed))
+        values = []
+        for _ in range(spec.replicates):
+            power = np.abs(np.fft.fft2(gen.standard_normal((n, n)), norm="ortho")) ** 2
+            values.append(np.mean(0.5 * np.log1p(s) - 0.5 * s / (1.0 + s) * power))
+        mean, stderr = sample_llr_per_node(params, noise, n, spec)
+        assert mean == pytest.approx(np.mean(values), rel=1e-13, abs=0)
+        want_stderr = np.std(values, ddof=1) / math.sqrt(spec.replicates)
+        assert stderr == pytest.approx(want_stderr, rel=1e-13, abs=0)
 
     def test_different_seeds_differ(self):
         params = sfcar_from_snr(10.0, 0.1)
