@@ -1,11 +1,12 @@
 """Numpy quadrature kernels: the hot sums of every rate.
 
 ``sfcar_grid_sums`` averages the symmetric first-order integrands over w1
-alone, the w2 integral being closed-form; ``car_grid_sums`` sums a general
-CAR field over the half of a 2-D midpoint grid that the point reflection
-w -> -w does not map onto itself, in cache-sized row blocks, with the
-precision symbol on each block from ``car_symbol``.  Every reduction runs
-in a fixed order, so repeated calls are bit-identical.
+alone, the w2 integral being closed-form.  ``_weighted_grid_sums`` is the
+one weighted 2-D sum of the (KLI, MI) integrands, in cache-sized row blocks:
+``car_grid_sums`` feeds it a general CAR symbol from ``car_symbol`` on half
+a midpoint grid, ``oracle.finite_lattice_rates`` the exact finite-lattice
+eigenvalues.  Every reduction runs in a fixed order, so repeated calls are
+bit-identical.
 """
 
 import math
@@ -116,6 +117,27 @@ def car_symbol(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray,
     return (np.cos(a) * theta) @ np.cos(b) - (np.sin(a) * theta) @ np.sin(b)
 
 
+def _integrands(s):
+    # (KLI, MI) = (0.5 log1p(s) - 0.5 s/(1+s), 0.5 log1p(s)), one log1p per value
+    mi = 0.5 * np.log1p(s)
+    return mi - 0.5 * (s / (1.0 + s)), mi
+
+
+def _weighted_grid_sums(row_w: np.ndarray, col_w: np.ndarray, block_snr):
+    """Sums over k, l of row_w[k] col_w[l] (kli, mi)(s_kl), with s on the
+    rows ``rows`` (a slice) by every column from ``block_snr(rows)``, in
+    blocks of at most _BLOCK_ELEMS cells or one row."""
+    step = max(1, _BLOCK_ELEMS // col_w.size)
+    kli = mi = 0.0
+    for lo in range(0, row_w.size, step):
+        rows = slice(lo, min(lo + step, row_w.size))
+        r = row_w[rows]
+        kli_block, mi_block = _integrands(block_snr(rows))
+        kli += float(r @ (kli_block @ col_w))
+        mi += float(r @ (mi_block @ col_w))
+    return kli, mi
+
+
 def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: float, n: int):
     """Midpoint-grid means for den(w) = sum_t theta[t]*cos(oi[t]*w1 + oj[t]*w2),
     s = 1/(sigma2*den).  Returns (kli_mean, mi_mean, min_den).
@@ -133,22 +155,17 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
     if oi.shape != theta.shape or oj.shape != theta.shape:
         raise ValueError("tap arrays must have equal length")
     w = midpoint_grid(n)
-    mult = np.where(np.arange((n + 1) // 2) < n // 2, 2.0, 1.0)
-    rows = max(1, min(mult.size, _BLOCK_ELEMS // n))
-    kli_parts = []
-    mi_parts = []
-    min_den = np.inf
-    for lo in range(0, mult.size, rows):
-        r = mult[lo : lo + rows]
-        den = car_symbol(theta, oi, oj, w[lo : lo + r.size], w)
-        low = float(den.min())
-        min_den = min(min_den, low)
-        if low <= 0.0:
+    lows = []
+
+    def snr(rows):
+        den = car_symbol(theta, oi, oj, w[rows], w)
+        lows.append(float(den.min()))
+        if lows[-1] <= 0.0:
             # s = 0 leaves the cells where the symbol is not positive out of the sums
             den = np.where(den > 0.0, den, np.inf)
-        s = 1.0 / (sigma2 * den)
-        halflog = 0.5 * np.log1p(s)
-        mi_parts.append(r @ np.sum(halflog, axis=1))
-        kli_parts.append(r @ np.sum(halflog - 0.5 * s / (1.0 + s), axis=1))
+        return 1.0 / (sigma2 * den)
+
+    fold = np.where(np.arange((n + 1) // 2) < n // 2, 2.0, 1.0)
+    kli, mi = _weighted_grid_sums(fold, np.ones(n), snr)
     norm = float(n) * float(n)
-    return float(np.sum(kli_parts)) / norm, float(np.sum(mi_parts)) / norm, min_den
+    return kli / norm, mi / norm, min(lows)

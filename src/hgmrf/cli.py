@@ -48,62 +48,56 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _add_quad_flags(p):
-    p.add_argument("--quad-points", type=int, default=None,
-                   help="starting quadrature points per axis")
-    p.add_argument("--quad-rtol", type=float, default=None,
-                   help="quadrature relative tolerance")
-    p.add_argument("--quad-max", type=int, default=None,
-                   help="maximum quadrature points per axis")
-
-
-def _add_output_flags(p):
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--config", default=None,
-                   help="JSON configuration file; flags override its values")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hgmrf",
                      description="Information rates and energy scaling for "
                                  "sensor networks over 2-D hidden Gauss-Markov fields")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several subcommands, declared once each
+    snr = argparse.ArgumentParser(add_help=False)
+    snr.add_argument("--snr", type=float, default=None)
+    snr.add_argument("--snr-db", type=float, default=None)
+    sigma2 = argparse.ArgumentParser(add_help=False)
+    sigma2.add_argument("--sigma2", type=float, default=1.0)
+    quad = argparse.ArgumentParser(add_help=False)
+    quad.add_argument("--quad-points", type=int, default=None,
+                      help="starting quadrature points per axis")
+    quad.add_argument("--quad-rtol", type=float, default=None,
+                      help="quadrature relative tolerance")
+    quad.add_argument("--quad-max", type=int, default=None,
+                      help="maximum quadrature points per axis")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="output file (default stdout)")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--config", default=None,
+                        help="JSON configuration file; flags override its values")
 
-    p = sub.add_parser("rates", parents=[], help="SFCAR per-node KLI/MI rates")
+    p = sub.add_parser("rates", parents=[snr, quad, output],
+                       help="SFCAR per-node KLI/MI rates")
     p.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--snr-db", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--spacing", type=float, default=None)
-    _add_quad_flags(p)
-    _add_output_flags(p)
 
-    p = sub.add_parser("map", help="spacing -> edge correlation -> edge dependence")
+    p = sub.add_parser("map", parents=[output],
+                       help="spacing -> edge correlation -> edge dependence")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--spacing", type=float, default=None)
-    _add_output_flags(p)
 
-    p = sub.add_parser("oracle", help="exact finite-lattice rates")
+    p = sub.add_parser("oracle", parents=[snr, sigma2, output],
+                       help="exact finite-lattice rates")
     p.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--snr-db", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--boundary", choices=("torus", "free"), default="torus")
-    p.add_argument("--sigma2", type=float, default=1.0)
-    _add_output_flags(p)
 
-    p = sub.add_parser("mc", help="Monte Carlo log-likelihood-ratio simulation")
+    p = sub.add_parser("mc", parents=[snr, sigma2, output],
+                       help="Monte Carlo log-likelihood-ratio simulation")
     p.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--snr-db", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    _add_output_flags(p)
 
-    p = sub.add_parser("network", help="energy/information report for one network")
+    p = sub.add_parser("network", parents=[sigma2, quad, output],
+                       help="energy/information report for one network")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--spacing", type=float, default=None)
     p.add_argument("--alpha", type=float, default=1.0)
@@ -111,11 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--es", type=float, default=1.0)
     p.add_argument("--e0", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=2.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    _add_quad_flags(p)
-    _add_output_flags(p)
 
-    p = sub.add_parser("experiment", help="scaling-law sweep + asymptote fit")
+    p = sub.add_parser("experiment", parents=[snr, sigma2, quad, output],
+                       help="scaling-law sweep + asymptote fit")
     p.add_argument("name", choices=("area", "spacing", "density", "energy", "snr"))
     p.add_argument("--zeta", type=float, default=0.1,
                    help="edge dependence for the snr experiment")
@@ -125,39 +117,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="energy experiment scenario")
     p.add_argument("--area", type=float, default=400.0)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--snr-db", type=float, default=None)
     p.add_argument("--spacing", type=float, default=2.0)
     p.add_argument("--es", type=float, default=1.0)
     p.add_argument("--e0", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    _add_quad_flags(p)
-    _add_output_flags(p)
 
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
-    """Fill in values from --config for flags the user did not pass."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config, encoding="utf-8") as fh:
+def _parse_with_config(parser, argv, path) -> argparse.Namespace:
+    """Parse argv with the parameters of a JSON configuration file put in
+    as --key=value flags right after the subcommand: argparse checks their
+    types and choices, and the user's own flags, which come later, win."""
+    with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    params = obj.get("params", obj)
+    params = obj.get("params", obj) if isinstance(obj, dict) else None
     if not isinstance(params, dict):
         raise ValueError("configuration must be a JSON object")
-    passed = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-              for tok in argv if tok.startswith("--")}
+    tokens = []
     for key, value in params.items():
-        attr = str(key).replace("-", "_")
-        if attr in ("command", "results", "name"):
+        if key in ("command", "results", "name") or value is None:
             continue
-        if not hasattr(args, attr):
-            raise ValueError(f"unknown configuration key {key!r}")
-        if attr not in passed:
-            setattr(args, attr, value)
+        items = value if isinstance(value, list) else [value]
+        text = ",".join(v if isinstance(v, str) else json.dumps(v) for v in items)
+        tokens.append(f"--{key.replace('_', '-')}={text}")
+    args = parser.parse_args(argv[:1] + tokens + argv[1:])
+    for key, value in params.items():
+        # a number in quotes is a string in JSON, which no numeric flag takes
+        if isinstance(value, str) and not isinstance(
+                getattr(args, key.replace("-", "_"), value), str):
+            raise ValueError(f"configuration value {key} = {value!r} must be a number")
     return args
 
 
@@ -355,10 +345,7 @@ def _cmd_experiment(args) -> int:
     snr = _resolve_snr(args) if (args.snr is not None or args.snr_db is not None) else 10.0
     values = None
     if args.values is not None:
-        if isinstance(args.values, str):
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-        else:
-            values = [float(v) for v in args.values]
+        values = [float(v) for v in args.values.split(",") if v.strip()]
     params = {"name": args.name, "snr": snr, "alpha": args.alpha, "es": args.es,
               "e0": args.e0, "nu": args.nu, "beta": args.beta, "sigma2": args.sigma2}
     if args.name == "area":
@@ -418,7 +405,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
+        if getattr(args, "config", None):
+            args = _parse_with_config(parser, argv, args.config)
         status = _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse error path (status already printed)
         code = exc.code

@@ -12,6 +12,7 @@ linear; dB conversion belongs to the CLI).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .physmap import PhysicalField
@@ -34,8 +35,8 @@ class NetworkConfig:
 
     def __post_init__(self):
         # every comparison is false for NaN, so each check rejects it
-        if self.n < 2:
-            raise ValueError("grid side must be >= 2")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise ValueError(f"grid side must be an integer >= 2, got {self.n!r}")
         if not 0.0 < self.spacing < math.inf:
             raise ValueError("spacing must be positive and finite")
         if not 0.0 <= self.sensing_energy < math.inf:

@@ -12,21 +12,25 @@ truncated at the edge, T the path adjacency, diagonalised by the DST-I;
 Strang, "The Discrete Cosine Transform", SIAM Rev. 41, 1999).  Per-node KLI
 and MI at finite n are exact sums of the spectral integrands over q_kl --
 on the torus a rectangle rule whose n -> infinity limit is the spectral
-integral.  A Monte Carlo log-likelihood-ratio simulation under the
-noise-only hypothesis verifies the almost-sure limit the KLI rate is
-defined by.
+integral -- taken by the kernels' one weighted 2-D block sum.  A Monte
+Carlo log-likelihood-ratio simulation under the noise-only hypothesis
+verifies the almost-sure limit the KLI rate is defined by.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels_py import _weighted_grid_sums
 from .car import NoiseModel, SfcarParams
-from .rates import RateResult, kli_integrand
+from .rates import RateResult
 
-#: Elements per block of the eigenvalue sums.
-_BLOCK_ELEMS = 1 << 15
+
+def _check_side(n) -> None:
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"lattice side must be an integer >= 2, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,7 @@ class LatticeSpec:
     boundary: str = "torus"
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("lattice side must be >= 2")
+        _check_side(self.n)
         if self.boundary not in ("torus", "free"):
             raise ValueError("boundary must be 'torus' or 'free'")
 
@@ -51,9 +54,9 @@ class MonteCarloSpec:
     seed: int
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if not 0 <= self.seed < 2**64:
+        if not isinstance(self.replicates, numbers.Integral) or self.replicates < 1:
+            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
@@ -83,8 +86,7 @@ def torus_eigenvalues(params: SfcarParams, n: int) -> np.ndarray:
     All positive for zeta < 1/4; the signal covariance eigenvalues are
     their reciprocals.
     """
-    if n < 2:
-        raise ValueError("lattice side must be >= 2")
+    _check_side(n)
     c = _cosines(n, "torus")
     q = _eigenvalues(params.kappa, params.zeta, c, c)
     if not np.all(q > 0.0):
@@ -120,15 +122,10 @@ def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
     c = _cosines(n, lattice.boundary)
     mult = _mirror_weights(n) if lattice.boundary == "torus" else np.ones(n)
     c = c[: mult.size]
-    # summed over blocks of rows, whose temporaries stay small: n^2-sized
-    # ones would raise the peak memory of the process
-    rows = max(1, _BLOCK_ELEMS // c.size)
-    kli = mi = 0.0
-    for lo in range(0, c.size, rows):
-        s = _bin_snrs(params, noise, c[lo : lo + rows], c)
-        r = mult[lo : lo + rows]
-        kli += float(r @ (kli_integrand(s) @ mult))
-        mi += float(r @ (0.5 * np.log1p(s) @ mult))
+    # in row blocks, whose temporaries stay small: n^2-sized ones would
+    # raise the peak memory of the process
+    kli, mi = _weighted_grid_sums(mult, mult,
+                                  lambda rows: _bin_snrs(params, noise, c[rows], c))
     return RateResult(kli / (n * n), mi / (n * n), n, True)
 
 
@@ -152,8 +149,7 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
     """
     if mc.replicates < 2:
         raise ValueError("at least 2 replicates are needed for a standard error")
-    if n < 2:
-        raise ValueError("lattice side must be >= 2")
+    _check_side(n)
     c = _cosines(n, "torus")
     col = _mirror_weights(n)
     s = _bin_snrs(params, noise, c, c[: col.size])

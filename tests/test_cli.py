@@ -224,6 +224,20 @@ class TestOutputContract:
         assert status == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("config", [
+        {"params": {"zeta": "0.1", "snr": 10, "n": 8}},  # used to raise TypeError
+        [1, 2],  # used to raise AttributeError
+        {"params": {"zeta": 0.1, "snr": 10, "n": 8.5}},  # used to exit 0 for n = 8.5
+        {"params": {"zeta": 0.1, "snr": 10, "n": 8, "format": "xml"}},  # used to write CSV
+    ], ids=["quoted-number", "not-an-object", "fractional-n", "unknown-format"])
+    def test_config_values_are_parsed_like_flags(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        status, out, err = run_cli(["oracle", "--config", str(cfg)], capsys)
+        assert status == 1
+        assert out == ""
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
 
 class TestExperimentCommand:
     def test_emits_table_and_fit(self, tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hgmrf import _kernels_py
+from hgmrf.car import NoiseModel, sfcar_from_snr
+from hgmrf.oracle import LatticeSpec, finite_lattice_rates
 from hgmrf.specfun import midpoint_grid
 
 
@@ -45,19 +47,39 @@ def test_python_kernel_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("n, block", [(300, 4096), (301, 4096), (301, 100)])
-def test_python_kernel_blocking_invariant(monkeypatch, n, block):
-    # block size must not affect the reduction beyond roundoff, also where a
-    # block is smaller than one row and holds one row
+def car_sums(n):
     theta = np.array([1.0, -0.2, -0.2, -0.2, -0.2])
     oi = np.array([0, 1, -1, 0, 0])
     oj = np.array([0, 0, 0, 1, -1])
-    full = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
+    return _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
+
+
+def lattice_sums(boundary):
+    noise = NoiseModel(sigma2=0.5)
+    model = sfcar_from_snr(3.0, 0.2, noise)
+
+    def sums(n):
+        res = finite_lattice_rates(model, noise, LatticeSpec(n, boundary))
+        return res.kli_rate, res.mi_rate
+
+    return sums
+
+
+@pytest.mark.parametrize("sums, n, block", [
+    pytest.param(car_sums, n, block, id=f"{n}-{block}")
+    for n, block in ((300, 4096), (301, 4096), (301, 100))
+] + [
+    pytest.param(lattice_sums(boundary), n, 100, id=f"{boundary}-{n}-100")
+    for boundary in ("torus", "free") for n in (64, 65, 301)
+])
+def test_python_kernel_blocking_invariant(monkeypatch, sums, n, block):
+    # one block size governs the general-CAR kernel and the finite-lattice
+    # oracle, and must not affect either reduction beyond roundoff, also
+    # where a block is smaller than one row and holds one row
+    full = sums(n)
     monkeypatch.setattr(_kernels_py, "_BLOCK_ELEMS", block)
-    blocked = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
-    assert blocked[0] == pytest.approx(full[0], rel=1e-14)
-    assert blocked[1] == pytest.approx(full[1], rel=1e-14)
-    assert blocked[2] == pytest.approx(full[2], rel=1e-14)
+    blocked = sums(n)
+    assert blocked == pytest.approx(full, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [8, 9, 255, 256, 301])

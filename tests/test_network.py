@@ -85,6 +85,13 @@ class TestTotalEnergy:
         with pytest.raises(ValueError):
             NetworkConfig(n=4, spacing=1.0, sensing_energy=-1.0)
 
+    @pytest.mark.parametrize("n", [8.5, 8.0, "8"])
+    def test_config_rejects_non_integer_side(self, n):
+        # n = 8.5 used to give a report with node_count 72.25
+        with pytest.raises(ValueError, match="integer"):
+            NetworkConfig(n=n, spacing=1.0)
+        assert NetworkConfig(n=np.int64(8), spacing=1.0).n == 8
+
     @pytest.mark.parametrize("field", ["spacing", "sensing_energy", "comm_energy_coeff",
                                        "loss_exponent", "snr_per_joule", "alpha",
                                        "noise_sigma2"])

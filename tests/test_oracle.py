@@ -261,3 +261,19 @@ class TestMonteCarloLlr:
             MonteCarloSpec(10, -1)
         with pytest.raises(ValueError):
             MonteCarloSpec(10, 2**64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: LatticeSpec(v),
+    lambda v: MonteCarloSpec(replicates=v, seed=1),
+    lambda v: MonteCarloSpec(replicates=2, seed=v),
+    lambda v: sample_llr_per_node(sfcar_from_snr(1.0, 0.1), NoiseModel(1.0), v,
+                                  MonteCarloSpec(2, 1)),
+], ids=["lattice-side", "replicates", "seed", "llr-side"])
+def test_integer_fields_reject_non_integers(make):
+    # an 8.5 used to pass its check and fail later inside numpy, or give a
+    # result for an 8.5-sided lattice
+    for value in (8.5, 8.0, "8"):
+        with pytest.raises(ValueError, match="integer"):
+            make(value)
+    make(np.int64(8))
