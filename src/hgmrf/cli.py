@@ -13,6 +13,7 @@ infinity), 2 numerical non-convergence.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -48,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once, on first use: parsing leaves the parser unchanged
     parser = _Parser(prog="hgmrf",
                      description="Information rates and energy scaling for "
                                  "sensor networks over 2-D hidden Gauss-Markov fields")
@@ -348,8 +351,9 @@ def _cmd_experiment(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     params = {"name": args.name, "snr": snr, "alpha": args.alpha, "es": args.es,
               "e0": args.e0, "nu": args.nu, "beta": args.beta, "sigma2": args.sigma2}
+    # grid sides: integral values as ints, any other left for the library to refuse
+    ns = [int(v) if v.is_integer() else v for v in values] if values else _default_n_sweep()
     if args.name == "area":
-        ns = [int(v) for v in values] if values else _default_n_sweep()
         base = NetworkConfig(n=ns[0], spacing=args.spacing, sensing_energy=args.es,
                              comm_energy_coeff=args.e0, loss_exponent=args.nu,
                              snr_per_joule=snr / args.es, alpha=args.alpha,
@@ -364,7 +368,6 @@ def _cmd_experiment(args) -> int:
                                              spec if user_quad else SPACING_QUADRATURE)
         params.update(values=ds)
     elif args.name == "density":
-        ns = [int(v) for v in values] if values else _default_n_sweep()
         sweep, fit = exp_density_scaling(args.area, args.alpha, snr, ns, spec,
                                          sensing_energy=args.es,
                                          comm_energy_coeff=args.e0)
@@ -376,11 +379,10 @@ def _cmd_experiment(args) -> int:
         scenario = args.scenario or "fixed_sensing_area_sweep"
         if scenario == "fixed_area_sensing_sweep":
             sw = values or [10.0**e for e in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0)]
-            base_n = 64
         else:
             sw = values or [float(v) for v in _default_n_sweep()]
-            base_n = int(sw[0])
-        base = NetworkConfig(n=base_n, spacing=args.spacing, sensing_energy=args.es,
+        # the grid of the sensing sweep; the area sweep sets n in every row
+        base = NetworkConfig(n=64, spacing=args.spacing, sensing_energy=args.es,
                              comm_energy_coeff=args.e0, loss_exponent=args.nu,
                              snr_per_joule=args.beta, alpha=args.alpha,
                              noise_sigma2=args.sigma2)

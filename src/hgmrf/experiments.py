@@ -103,6 +103,15 @@ def _span_decades(xs: np.ndarray) -> float:
     return math.log10(float(xs.max()) / float(xs.min()))
 
 
+def _grid_sides(values: Sequence[float]) -> List[int]:
+    # sorted ints; a side that is not an integer >= 2 is refused, as by
+    # NetworkConfig, not truncated
+    bad = [v for v in values if not (float(v).is_integer() and v >= 2)]
+    if bad:
+        raise ValueError(f"grid side must be an integer >= 2, got {bad[0]!r}")
+    return sorted(int(v) for v in values)
+
+
 def exp_area_scaling(base: NetworkConfig, n_values: Sequence[int],
                      spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Fixed spacing (fixed density), growing grid: total information vs
@@ -113,7 +122,7 @@ def exp_area_scaling(base: NetworkConfig, n_values: Sequence[int],
     estimates).  Requires >= 4 grid sizes spanning at least a decade of
     area.
     """
-    n_values = sorted(int(n) for n in n_values)
+    n_values = _grid_sides(n_values)
     if len(n_values) < 4:
         raise ValueError("need at least 4 sweep points")
     rows: List[Tuple[float, Dict[str, float]]] = []
@@ -244,7 +253,7 @@ def exp_density_scaling(area: float, alpha: float, snr: float,
     dubious at very small spacing; treat the small-d end of these columns
     accordingly.
     """
-    n_values = sorted(int(n) for n in n_values)
+    n_values = _grid_sides(n_values)
     if len(n_values) < 4:
         raise ValueError("need at least 4 sweep points")
     if not area > 0.0:
@@ -347,10 +356,10 @@ def exp_energy_scaling(base: NetworkConfig, scenario: str,
     """
     if scenario not in ENERGY_SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    values = sorted(float(v) for v in sweep_values)
+    sensing = scenario == "fixed_area_sensing_sweep"
+    values = sorted(map(float, sweep_values if sensing else _grid_sides(sweep_values)))
     if len(values) < 4:
         raise ValueError("need at least 4 sweep points")
-    sensing = scenario == "fixed_area_sensing_sweep"
     rows: List[Tuple[float, Dict[str, float]]] = []
     for v in values:
         config = replace(base, sensing_energy=v) if sensing else replace(base, n=int(v))

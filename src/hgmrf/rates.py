@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import _kernels_py
 from .car import CarCoefficients, NoiseModel
-from .physmap import PhysicalField, edge_decorrelation, spectral_parameters
+from .physmap import PhysicalField, spectral_parameters
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, close_enough, elliptic_k
 
 import numpy as np
@@ -148,10 +148,10 @@ def sfcar_rates_at_spacing(field: PhysicalField, snr: float,
     """
     if not 0.0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")
-    if edge_decorrelation(field) < sys.float_info.min:
+    _zeta, delta, scale = spectral_parameters(field)
+    if not scale <= 1.0 / sys.float_info.min:  # scale is 1/(1 - rho) there
         raise ValueError(f"alpha*spacing = {field.alpha * field.spacing!r} is too small: "
                          "1 - rho is below the smallest normal double")
-    _zeta, delta, scale = spectral_parameters(field)
     return _sfcar_quadrature(delta, scale, snr, spec)
 
 

@@ -217,6 +217,48 @@ class TestOutputContract:
         stein_at_10 = 0.5 * math.log(11.0) + 0.5 / 11.0 - 0.5
         assert float(row["kli"]) == pytest.approx(stein_at_10, abs=1e-9)
 
+    def test_parser_built_once_carries_no_state(self, tmp_path, capsys):
+        # main reuses one parser: a config run, a failed parse and an
+        # --snr-db run must leave nothing behind for the runs after them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"zeta": 0.2, "snr": 3.0, "quad_points": 64,
+                                   "format": "json"}))
+        out = str(tmp_path / "out")
+        sequence = [
+            ["rates", "--config", str(cfg), "--out", out],
+            ["rates", "--zeta", "0.1", "--quad-points", "32", "--format", "xml",
+             "--out", out],
+            ["rates", "--zeta", "0.1", "--snr-db", "10", "--out", out],
+            ["rates", "--config", str(cfg), "--out", out],
+        ]
+
+        def run(argv):
+            (tmp_path / "out").unlink(missing_ok=True)
+            status = main(argv)
+            capsys.readouterr()
+            return status, (tmp_path / "out").read_bytes() if status == 0 else None
+
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
+        cli.build_parser.cache_clear()
+        assert [run(argv) for argv in sequence] == fresh
+        assert [status for status, _ in fresh] == [0, 1, 0, 0]
+        assert fresh[0][1].startswith(b"{") and fresh[2][1].startswith(b"zeta,snr")
+
+    def test_spacing_route_solves_the_map_once(self, capsys, monkeypatch):
+        from hgmrf import physmap
+
+        physmap._spectral_parameters.cache_clear()
+        calls = []
+        solve = physmap._solve
+        monkeypatch.setattr(physmap, "_solve", lambda *a: calls.append(a) or solve(*a))
+        status, _, _ = run_cli(["rates", "--alpha", "1", "--spacing", "0.5", "--snr", "10"],
+                               capsys)
+        assert status == 0
+        assert len(calls) == 1
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"zeta": 0.2, "snr": 10.0, "bogus": 1}))
@@ -318,6 +360,10 @@ class TestErrorPaths:
             ["rates", "--zeta", "0.1", "--snr", "1e308"],
             ["map", "--alpha", "1", "--spacing", "1e-320"],
             ["rates", "--alpha", "1", "--spacing", "1e-160", "--snr", "1"],
+            ["experiment", "energy", "--scenario", "fixed_sensing_area_sweep",
+             "--values", "32.9,45,64,91,128,181,256,362,512"],
+            ["experiment", "area", "--values", "32,45.5,64,91,128,181,256,362,512"],
+            ["experiment", "density", "--values", "1,45,64,91,128,181,256,362,512"],
         ],
     )
     def test_out_of_domain_input_is_one_line_validation_error(self, argv, capsys):

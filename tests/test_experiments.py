@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,8 +85,8 @@ class TestAreaScaling:
 
     def test_rows_reproducible(self):
         s1, _ = exp_area_scaling(self.BASE, [32, 45, 64, 91, 128], FAST_QUAD)
-        s2, _ = exp_area_scaling(self.BASE, [32, 45, 64, 91, 128], FAST_QUAD)
-        assert s1 == s2
+        s2, _ = exp_area_scaling(self.BASE, np.array([32, 45, 64, 91, 128]), FAST_QUAD)
+        assert s1 == s2  # numpy integer sides are integers too
 
     def test_comm_free_degenerate_exponent_zero(self):
         from dataclasses import replace
@@ -211,3 +212,18 @@ class TestEnergyScaling:
         with pytest.raises(ValueError, match="decades"):
             exp_energy_scaling(self.BASE, "fixed_area_sensing_sweep",
                                [100.0, 150.0, 200.0, 300.0], FAST_QUAD)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda ns: exp_area_scaling(TestAreaScaling.BASE, ns, FAST_QUAD),
+    lambda ns: exp_density_scaling(400.0, 1.0, 10.0, ns, FAST_QUAD),
+    lambda ns: exp_energy_scaling(TestEnergyScaling.BASE, "fixed_sensing_area_sweep", ns,
+                                  FAST_QUAD),
+], ids=["area", "density", "energy"])
+@pytest.mark.parametrize("bad", [32.9, 90.5, 1.0, 0.0, -3.0, math.inf, math.nan])
+def test_grid_side_not_an_integer_of_at_least_two_rejected(sweep, bad):
+    # a side of 32.9 used to run at n = 32 and be tabulated as 32.9; a
+    # density side of 1 divided by n - 1 = 0
+    with pytest.raises(ValueError,
+                       match=re.escape(f"grid side must be an integer >= 2, got {bad!r}")):
+        sweep([64, bad, 128, 181, 256])

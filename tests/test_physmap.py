@@ -1,9 +1,11 @@
 import math
+import statistics
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from hgmrf import physmap
 from hgmrf.physmap import (
     ZETA_MAX,
     PhysicalField,
@@ -120,7 +122,7 @@ class TestRhoFromZeta:
         assert rho_from_zeta(zeta) == pytest.approx(float(_mp_rho(zeta)), rel=1e-15, abs=0.0)
 
     def test_strictly_increasing(self):
-        # zeta_from_rho inverts this map by bisection
+        # zeta_from_rho inverts this map by a bracketing root solve
         rhos = [rho_from_zeta(z) for z in np.linspace(0.0, ZETA_MAX, 1000)]
         assert all(b > a for a, b in zip(rhos, rhos[1:]))
 
@@ -145,6 +147,32 @@ class TestZetaFromRho:
 
     def test_inverse_of_forward(self):
         assert zeta_from_rho(0.10549320842952437) == pytest.approx(0.1, abs=1e-9)
+
+    def test_root_solve_evaluation_counts(self, monkeypatch):
+        # the Illinois solve takes ~20 evaluations of the map, a bisection
+        # to adjacent floats ~60; its bisection fallback bounds it by about
+        # twice a bisection's 64
+        counts = []
+        for name in ("rho_from_zeta", "_one_minus_rho_at"):
+            f = getattr(physmap, name)
+            monkeypatch.setattr(physmap, name, lambda x, f=f: counts.append(1) or f(x))
+        per_solve = []
+        rhos = [edge_correlation(PhysicalField(1.0, float(x))) for x in np.linspace(0.06, 1.6, 50)]
+        for rho in rhos + [0.5, float(np.nextafter(0.5, 1.0))]:
+            counts.clear()
+            zeta_from_rho(rho)
+            per_solve.append(len(counts))
+        assert statistics.median(per_solve) <= 25
+        assert max(per_solve) <= 2 * 64
+
+    def test_smallest_rho_above_half_is_inside_the_t_bracket(self):
+        # the solve in t = log(1 - 4 zeta) tops out at t = -1, where
+        # 1 - rho ~ 0.83; at rho = 1/2, t ~ -4.1
+        rho = float(np.nextafter(0.5, 1.0))
+        zeta = zeta_from_rho(rho)
+        assert rho_from_zeta(zeta) == pytest.approx(rho, abs=1e-12)
+        assert zeta == pytest.approx(zeta_from_rho(0.5), rel=1e-15)
+        assert 1.0 - 4.0 * zeta > math.exp(-5.0)
 
     def test_saturated_branch_maps_to_quarter(self):
         assert zeta_from_rho(0.9999) == pytest.approx(0.25, abs=1e-3)
@@ -183,7 +211,7 @@ class TestZetaFromRho:
 
     def test_defined_where_delta_leaves_normal_range(self):
         # about alpha*d = 0.0494, where 1 - 4 zeta reaches the smallest normal
-        # double; a bisection into subnormal delta cannot meet the 1e-12
+        # double; a root solve into subnormal delta cannot meet the 1e-12
         # residual there
         deltas = []
         for alpha_d in np.linspace(0.047, 0.050, 301):
@@ -207,7 +235,8 @@ class TestZetaFromRho:
 def _mp_delta_and_scale(rho):
     """(1 - 4 zeta, (2/pi) K(4 zeta)) at edge correlation rho: solve
     rho = (g - 1)/((1 - delta) g), g = (2/pi) K(1 - delta), for delta by
-    bisection in log(delta) at 40 digits."""
+    plain bisection in log(delta) at 40 digits, independent of the
+    library's Illinois solve."""
     with mp.workdps(40):
         def rho_of(t):
             delta = mp.exp(t)

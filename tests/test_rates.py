@@ -195,8 +195,9 @@ def _mp_rates_at_zeta(zeta, snr):
 
 def _mp_rates_at_spacing(x, snr):
     # rho = x K1(x); solve rho = (g - 1)/((1 - delta) g), g = (2/pi) K(1 - delta),
-    # for delta = 1 - 4 zeta by bisection in log(delta), unless delta is
-    # below 1e-30, where g = 1/(1 - rho) to far below double precision.
+    # for delta = 1 - 4 zeta by plain bisection in log(delta), independent of
+    # the library's Illinois solve, unless delta is below 1e-30, where
+    # g = 1/(1 - rho) to far below double precision.
     # 1 - rho ~ x^2 ln(1/x) is formed with 2 log10(1/x) extra digits.
     with mp.workdps(MP_DPS + 2 * max(0, -math.floor(math.log10(x)))):
         xm = mp.mpf(x)
