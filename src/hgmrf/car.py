@@ -81,22 +81,9 @@ class CarCoefficients:
     def theta(self) -> Mapping[Offset, float]:
         return self._theta
 
-    @property
-    def theta00(self) -> float:
-        return self._theta[(0, 0)]
-
     def tap_arrays(self):
         """(offsets_i, offsets_j, values) as numpy arrays, kernel-ready."""
         return self._oi, self._oj, self._vals
-
-    def denominator(self, w1, w2):
-        """Real precision symbol sum_ij theta_ij cos(i*w1 + j*w2)."""
-        w1 = np.asarray(w1, dtype=np.float64)
-        w2 = np.asarray(w2, dtype=np.float64)
-        out_dims = len(np.broadcast_shapes(w1.shape, w2.shape))
-        oi = self._oi.reshape((-1,) + (1,) * out_dims)
-        oj = self._oj.reshape((-1,) + (1,) * out_dims)
-        return np.einsum("t,t...->...", self._vals, np.cos(oi * w1 + oj * w2))
 
     def __repr__(self):
         return f"CarCoefficients({dict(self._theta)!r})"
@@ -136,12 +123,14 @@ class SfcarParams:
 
 
 def car_spectrum(coeffs: CarCoefficients, w1, w2):
-    """Spectral density f(w1, w2) = (1/4pi^2)/denominator at a point.
+    """Spectral density f(w1, w2) = (1/4pi^2)/symbol at a point, with the
+    precision symbol sum_ij theta_ij cos(i*w1 + j*w2).
 
-    Accepts scalars or arrays; raises ValueError when the denominator is
-    not positive at any requested point.
+    Accepts scalars or arrays, broadcast against each other; raises
+    ValueError when the symbol is not positive at any requested point.
     """
-    den = coeffs.denominator(w1, w2)
+    w1, w2 = np.asarray(w1, dtype=np.float64), np.asarray(w2, dtype=np.float64)
+    den = sum(t * np.cos(i * w1 + j * w2) for (i, j), t in coeffs.theta.items())
     if not np.all(den > 0.0):
         raise ValueError("precision symbol non-positive at requested frequency")
     out = 1.0 / (4.0 * math.pi**2 * den)

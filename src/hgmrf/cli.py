@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("network", parents=[sigma2, quad, output],
+    p = sub.add_parser("network", parents=[quad, output],
                        help="energy/information report for one network")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--spacing", type=float, default=None)
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e0", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=2.0)
 
-    p = sub.add_parser("experiment", parents=[snr, sigma2, quad, output],
+    p = sub.add_parser("experiment", parents=[snr, quad, output],
                        help="scaling-law sweep + asymptote fit")
     p.add_argument("name", choices=("area", "spacing", "density", "energy", "snr"))
     p.add_argument("--zeta", type=float, default=0.1,
@@ -186,6 +186,12 @@ def _resolve_quadrature(args) -> QuadratureSpec:
             base.max_points_per_axis, int(points) if points is not None else 0
         ),
     )
+
+
+def _quadrature_params(spec: QuadratureSpec) -> dict:
+    # the spec that ran, as the flags that give it back through --config
+    return {"quad_points": spec.points_per_axis, "quad_rtol": spec.relative_tolerance,
+            "quad_max": spec.max_points_per_axis}
 
 
 def _require(args, *names):
@@ -275,8 +281,7 @@ def _cmd_rates(args) -> int:
         results["zeta"] = zeta_from_spacing(field)
     else:
         raise ValueError("give --zeta, or both --alpha and --spacing")
-    params.update(quad_points=spec.points_per_axis, quad_rtol=spec.relative_tolerance,
-                  quad_max=spec.max_points_per_axis)
+    params.update(_quadrature_params(spec))
     results.update(kli=result.kli_rate, mi=result.mi_rate,
                    quadrature_points=result.quadrature_points,
                    converged=result.converged)
@@ -329,12 +334,12 @@ def _cmd_network(args) -> int:
     config = NetworkConfig(
         n=args.n, spacing=args.spacing, sensing_energy=args.es,
         comm_energy_coeff=args.e0, loss_exponent=args.nu,
-        snr_per_joule=args.beta, alpha=args.alpha, noise_sigma2=args.sigma2,
+        snr_per_joule=args.beta, alpha=args.alpha,
     )
     report = evaluate_network(config, spec)
     params = {"n": args.n, "spacing": args.spacing, "es": args.es, "e0": args.e0,
               "nu": args.nu, "beta": args.beta, "alpha": args.alpha,
-              "sigma2": args.sigma2}
+              **_quadrature_params(spec)}
     _emit(args, params, asdict(report))
     return EXIT_OK
 
@@ -350,22 +355,20 @@ def _cmd_experiment(args) -> int:
     if args.values is not None:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     params = {"name": args.name, "snr": snr, "alpha": args.alpha, "es": args.es,
-              "e0": args.e0, "nu": args.nu, "beta": args.beta, "sigma2": args.sigma2}
+              "e0": args.e0, "nu": args.nu, "beta": args.beta}
     # grid sides: integral values as ints, any other left for the library to refuse
     ns = [int(v) if v.is_integer() else v for v in values] if values else _default_n_sweep()
     if args.name == "area":
         base = NetworkConfig(n=ns[0], spacing=args.spacing, sensing_energy=args.es,
                              comm_energy_coeff=args.e0, loss_exponent=args.nu,
-                             snr_per_joule=snr / args.es, alpha=args.alpha,
-                             noise_sigma2=args.sigma2)
+                             snr_per_joule=snr / args.es, alpha=args.alpha)
         sweep, fit = exp_area_scaling(base, ns, spec)
         params.update(spacing=args.spacing, values=ns)
     elif args.name == "spacing":
         ds = values or [v / args.alpha for v in (3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0)]
-        user_quad = any(getattr(args, f) is not None
-                        for f in ("quad_points", "quad_rtol", "quad_max"))
-        sweep, fit = exp_spacing_convergence(args.alpha, snr, ds,
-                                             spec if user_quad else SPACING_QUADRATURE)
+        if spec is DEFAULT_QUADRATURE:  # no quadrature flag given
+            spec = SPACING_QUADRATURE
+        sweep, fit = exp_spacing_convergence(args.alpha, snr, ds, spec)
         params.update(values=ds)
     elif args.name == "density":
         sweep, fit = exp_density_scaling(args.area, args.alpha, snr, ns, spec,
@@ -384,10 +387,10 @@ def _cmd_experiment(args) -> int:
         # the grid of the sensing sweep; the area sweep sets n in every row
         base = NetworkConfig(n=64, spacing=args.spacing, sensing_energy=args.es,
                              comm_energy_coeff=args.e0, loss_exponent=args.nu,
-                             snr_per_joule=args.beta, alpha=args.alpha,
-                             noise_sigma2=args.sigma2)
+                             snr_per_joule=args.beta, alpha=args.alpha)
         sweep, fit = exp_energy_scaling(base, scenario, sw, spec)
         params.update(scenario=scenario, spacing=args.spacing, values=sw)
+    params.update(_quadrature_params(spec))
     _emit_experiment(args, params, sweep, fit)
     return EXIT_OK
 

@@ -7,21 +7,30 @@ spacing, logarithmic or power growth in energy).  Asymptotic fits default
 to the top decade of the swept abscissa; pre-asymptotic points bias slope
 estimates.  Fitted constants are published with their r^2 so downstream
 consumers can judge fit quality; none of them are hard-coded anywhere.
+The area, density and energy sweeps tabulate ``network_report`` rows
+through one helper, which integrates the per-node rates once for each
+distinct (alpha, spacing, SNR) among its rows.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .network import NetworkConfig, communication_energy, evaluate_network
+from .network import (NetworkConfig, communication_energy, measurement_snr, network_report,
+                      node_rates)
 from .physmap import PhysicalField, edge_correlation
-from .rates import sfcar_rates, sfcar_rates_at_spacing
+from .rates import RateResult, sfcar_rates, sfcar_rates_at_spacing
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec
 
 FIT_MODELS = ("power_law", "exponential_with_sqrt_prefactor", "logarithmic")
+
+#: Loss exponents of the density sweep's sensing-free efficiencies, about nu = 3.
+TRICHOTOMY_LOSS_EXPONENTS = (2.5, 3.0, 3.5)
+#: SNRs of the high-SNR half of the snr sweep.
+HIGH_SNR = (1e3, 1e4, 1e5)
 
 #: Spacing-decay fits need tighter quadrature: the gaps shrink below 1e-6.
 SPACING_QUADRATURE = QuadratureSpec(points_per_axis=256, relative_tolerance=1e-11,
@@ -112,6 +121,23 @@ def _grid_sides(values: Sequence[float]) -> List[int]:
     return sorted(int(v) for v in values)
 
 
+def _network_sweep(parameter_name: str, points: Sequence[Tuple[float, NetworkConfig]],
+                   spec: QuadratureSpec, outputs: Callable[..., Dict[str, float]]):
+    """Sweep table with the row outputs(config, report) at each (x, config)
+    point; the per-node rates of each distinct (alpha, spacing, SNR) are
+    integrated once."""
+    if len(points) < 4:
+        raise ValueError("need at least 4 sweep points")
+    rates: Dict[Tuple[float, float, float], RateResult] = {}
+    rows: List[Tuple[float, Dict[str, float]]] = []
+    for x, config in points:
+        key = (config.alpha, config.spacing, measurement_snr(config))
+        if key not in rates:
+            rates[key] = node_rates(config, spec)
+        rows.append((float(x), outputs(config, network_report(config, rates[key]))))
+    return SweepResult(parameter_name, tuple(rows))
+
+
 def exp_area_scaling(base: NetworkConfig, n_values: Sequence[int],
                      spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Fixed spacing (fixed density), growing grid: total information vs
@@ -122,30 +148,15 @@ def exp_area_scaling(base: NetworkConfig, n_values: Sequence[int],
     estimates).  Requires >= 4 grid sizes spanning at least a decade of
     area.
     """
-    n_values = _grid_sides(n_values)
-    if len(n_values) < 4:
-        raise ValueError("need at least 4 sweep points")
-    rows: List[Tuple[float, Dict[str, float]]] = []
-    for n in n_values:
-        report = evaluate_network(replace(base, n=n), spec)
-        rows.append(
-            (
-                float(n),
-                {
-                    "area": report.area,
-                    "density": report.density,
-                    "snr": report.snr,
-                    "per_node_kli": report.per_node_kli,
-                    "per_node_mi": report.per_node_mi,
-                    "total_kli": report.total_kli,
-                    "total_mi": report.total_mi,
-                    "energy": report.total_energy,
-                    "efficiency_kli": report.efficiency_kli,
-                    "efficiency_mi": report.efficiency_mi,
-                },
-            )
-        )
-    sweep = SweepResult("n", tuple(rows))
+    def outputs(config, report):
+        return {"area": report.area, "density": report.density, "snr": report.snr,
+                "per_node_kli": report.per_node_kli, "per_node_mi": report.per_node_mi,
+                "total_kli": report.total_kli, "total_mi": report.total_mi,
+                "energy": report.total_energy, "efficiency_kli": report.efficiency_kli,
+                "efficiency_mi": report.efficiency_mi}
+
+    sweep = _network_sweep("n", [(n, replace(base, n=n)) for n in _grid_sides(n_values)],
+                           spec, outputs)
     areas = sweep.column("area")
     if _span_decades(areas) < 1.0:
         raise ValueError("sweep must span at least one decade of area")
@@ -241,53 +252,37 @@ def exp_density_scaling(area: float, alpha: float, snr: float,
                         n_values: Sequence[int],
                         spec: QuadratureSpec = DEFAULT_QUADRATURE,
                         sensing_energy: float = 1.0,
-                        comm_energy_coeff: float = 1.0,
-                        trichotomy_loss_exponents: Sequence[float] = (2.5, 3.0, 3.5)):
+                        comm_energy_coeff: float = 1.0):
     """Fixed coverage area, growing density: spacing d = sqrt(area)/(n-1).
 
     Tabulates per-node and per-area information, efficiency with sensing
     energy on, and -- with the sensing term zeroed, to isolate routing
-    energy -- efficiency for each requested loss exponent.  Fits the
+    energy -- efficiency for each of TRICHOTOMY_LOSS_EXPONENTS.  Fits the
     power law of per-node KLI against density over the top decade and
     reports the per-area plateau estimate.  The d^nu link-cost model is
     dubious at very small spacing; treat the small-d end of these columns
     accordingly.
     """
-    n_values = _grid_sides(n_values)
-    if len(n_values) < 4:
-        raise ValueError("need at least 4 sweep points")
     if not area > 0.0:
         raise ValueError("area must be positive")
     side = math.sqrt(area)
-    rows: List[Tuple[float, Dict[str, float]]] = []
-    for n in n_values:
-        d = side / (n - 1)
-        config = NetworkConfig(
-            n=n,
-            spacing=d,
-            sensing_energy=sensing_energy,
-            comm_energy_coeff=comm_energy_coeff,
-            loss_exponent=2.0,
-            snr_per_joule=snr / sensing_energy,
-            alpha=alpha,
-        )
-        report = evaluate_network(config, spec)
-        outputs = {
-            "spacing": d,
-            "density": report.density,
-            "per_node_kli": report.per_node_kli,
-            "per_node_mi": report.per_node_mi,
-            "total_kli": report.total_kli,
-            "total_mi": report.total_mi,
-            "kli_per_area": report.total_kli / report.area,
-            "energy": report.total_energy,
-            "efficiency_kli": report.efficiency_kli,
-        }
-        for nu in trichotomy_loss_exponents:
-            comm = communication_energy(replace(config, loss_exponent=float(nu)))
-            outputs[f"eta_nosense_nu{nu:g}"] = report.total_kli / comm
-        rows.append((float(n), outputs))
-    sweep = SweepResult("n", tuple(rows))
+
+    def outputs(config, report):
+        row = {"spacing": config.spacing, "density": report.density,
+               "per_node_kli": report.per_node_kli, "per_node_mi": report.per_node_mi,
+               "total_kli": report.total_kli, "total_mi": report.total_mi,
+               "kli_per_area": report.total_kli / report.area,
+               "energy": report.total_energy, "efficiency_kli": report.efficiency_kli}
+        for nu in TRICHOTOMY_LOSS_EXPONENTS:
+            comm = communication_energy(replace(config, loss_exponent=nu))
+            row[f"eta_nosense_nu{nu:g}"] = report.total_kli / comm
+        return row
+
+    points = [(n, NetworkConfig(n=n, spacing=side / (n - 1), sensing_energy=sensing_energy,
+                                comm_energy_coeff=comm_energy_coeff, loss_exponent=2.0,
+                                snr_per_joule=snr / sensing_energy, alpha=alpha))
+              for n in _grid_sides(n_values)]
+    sweep = _network_sweep("n", points, spec, outputs)
     mus = sweep.column("density")
     if _span_decades(mus) < 1.0:
         raise ValueError("sweep must span at least one decade of density")
@@ -307,7 +302,7 @@ def exp_density_scaling(area: float, alpha: float, snr: float,
 
 
 def exp_snr_limits(zeta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                   low_snr: Sequence[float] = (), high_snr: Sequence[float] = ()):
+                   low_snr: Sequence[float] = ()):
     """Low- and high-SNR limit behavior of the rates at fixed correlation.
 
     At low SNR the divergence rate falls off quadratically and the mutual
@@ -315,10 +310,10 @@ def exp_snr_limits(zeta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
     sweep tabulates both regimes; the fit reports the low-SNR log-log
     exponents and the high-SNR increments normalized by (1/2) log of the
     SNR ratio.  At zeta = 1/4 every rate is exactly 0, so the low-SNR
-    exponents and r^2 are None.
+    exponents and r^2 are None.  The high-SNR points are HIGH_SNR.
     """
     low = sorted(float(s) for s in low_snr) or list(np.logspace(-4, -2, 7))
-    high = sorted(float(s) for s in high_snr) or [1e3, 1e4, 1e5]
+    high = list(HIGH_SNR)
     if len(low) < 4:
         raise ValueError("need at least 4 low-SNR points")
     rows: List[Tuple[float, Dict[str, float]]] = []
@@ -358,47 +353,32 @@ def exp_energy_scaling(base: NetworkConfig, scenario: str,
         raise ValueError(f"unknown scenario {scenario!r}")
     sensing = scenario == "fixed_area_sensing_sweep"
     values = sorted(map(float, sweep_values if sensing else _grid_sides(sweep_values)))
-    if len(values) < 4:
-        raise ValueError("need at least 4 sweep points")
-    rows: List[Tuple[float, Dict[str, float]]] = []
-    for v in values:
-        config = replace(base, sensing_energy=v) if sensing else replace(base, n=int(v))
-        report = evaluate_network(config, spec)
-        outputs = {"snr": report.snr, "energy": report.total_energy,
-                   "total_kli": report.total_kli, "total_mi": report.total_mi}
+
+    def outputs(config, report):
+        row = {"snr": report.snr, "energy": report.total_energy,
+               "total_kli": report.total_kli, "total_mi": report.total_mi}
         if sensing:
-            outputs["mi_over_half_log_e"] = report.total_mi / (
+            row["mi_over_half_log_e"] = report.total_mi / (
                 report.node_count * 0.5 * math.log(report.snr))
-        rows.append((v, outputs))
-    sweep = SweepResult("sensing_energy" if sensing else "n", tuple(rows))
+        return row
+
+    points = [(v, replace(base, sensing_energy=v) if sensing else replace(base, n=int(v)))
+              for v in values]
+    sweep = _network_sweep("sensing_energy" if sensing else "n", points, spec, outputs)
     energies = sweep.column("energy")
     if _span_decades(energies) < 2.0:
         raise ValueError("energy sweep must span at least 2 decades")
     if sensing:
         slope_mi, icept_mi, r2 = _ols(np.log(energies), sweep.column("total_mi"))
         slope_kli, icept_kli, _ = _ols(np.log(energies), sweep.column("total_kli"))
-        fit = FitResult(
-            model="logarithmic",
-            estimates={
-                "slope_mi": slope_mi,
-                "intercept_mi": icept_mi,
-                "slope_kli": slope_kli,
-                "intercept_kli": icept_kli,
-            },
-            r_squared=r2,
-            window=(float(energies.min()), float(energies.max())),
-        )
+        model = "logarithmic"
+        estimates = {"slope_mi": slope_mi, "intercept_mi": icept_mi,
+                     "slope_kli": slope_kli, "intercept_kli": icept_kli}
     else:
         exp_kli, icept, r2 = _ols(np.log(energies), np.log(sweep.column("total_kli")))
         exp_mi, _, _ = _ols(np.log(energies), np.log(sweep.column("total_mi")))
-        fit = FitResult(
-            model="power_law",
-            estimates={
-                "exponent": exp_kli,
-                "log_intercept": icept,
-                "exponent_mi": exp_mi,
-            },
-            r_squared=r2,
-            window=(float(energies.min()), float(energies.max())),
-        )
+        model = "power_law"
+        estimates = {"exponent": exp_kli, "log_intercept": icept, "exponent_mi": exp_mi}
+    fit = FitResult(model=model, estimates=estimates, r_squared=r2,
+                    window=(float(energies.min()), float(energies.max())))
     return sweep, fit

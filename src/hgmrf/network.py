@@ -9,6 +9,10 @@ measurement SNR linearly: SNR = beta * E_s.  Total gathered information
 is n^2 times the per-node asymptotic rate; energy efficiency is
 information per Joule.  Units are nats, Joules, meters throughout (SNR
 linear; dB conversion belongs to the CLI).
+
+The per-node rates depend on alpha, the spacing and the SNR, never on n:
+``node_rates`` integrates them, ``network_report`` is the accounting for
+given rates, and ``evaluate_network`` chains the two.
 """
 
 import math
@@ -16,13 +20,13 @@ import numbers
 from dataclasses import dataclass
 
 from .physmap import PhysicalField
-from .rates import sfcar_rates_at_spacing
+from .rates import RateResult, sfcar_rates_at_spacing
 from .specfun import DEFAULT_QUADRATURE, NonConvergenceError, QuadratureSpec
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Grid geometry, energy parameters, and field/noise description."""
+    """Grid geometry, energy parameters, and field description."""
 
     n: int
     spacing: float
@@ -31,7 +35,6 @@ class NetworkConfig:
     loss_exponent: float = 2.0       # nu >= 2
     snr_per_joule: float = 1.0       # beta, SNR per Joule of sensing energy
     alpha: float = 1.0               # field diffusion rate, 1/meters
-    noise_sigma2: float = 1.0
 
     def __post_init__(self):
         # every comparison is false for NaN, so each check rejects it
@@ -51,8 +54,6 @@ class NetworkConfig:
             raise ValueError("snr_per_joule must be positive and finite")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
-        if not 0.0 < self.noise_sigma2 < math.inf:
-            raise ValueError("noise variance must be positive and finite")
         for name, quantity in (("d^nu", lambda: self.spacing**self.loss_exponent),
                                ("the area", lambda: ((self.n - 1) * self.spacing) ** 2),
                                ("the density", lambda: density(self)),
@@ -91,6 +92,11 @@ def density(config: NetworkConfig) -> float:
     return config.n**2 / ((config.n - 1) * config.spacing) ** 2
 
 
+def measurement_snr(config: NetworkConfig) -> float:
+    """SNR = beta * E_s, linear."""
+    return config.snr_per_joule * config.sensing_energy
+
+
 def hop_count_total(n: int) -> int:
     """Sum of minimum-hop counts to the center over the whole grid.
 
@@ -115,10 +121,9 @@ def total_energy(config: NetworkConfig) -> float:
     return config.n**2 * config.sensing_energy + communication_energy(config)
 
 
-def evaluate_network(config: NetworkConfig,
-                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> NetworkReport:
-    """Full report: SNR from sensing energy, rates from the spacing map,
-    exact totals and efficiencies.
+def node_rates(config: NetworkConfig,
+               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> RateResult:
+    """Per-node rates at the spacing and SNR = beta * E_s of the network.
 
     Raises ValueError for a zero-SNR network (E_s = 0: the SNR model ties
     measurement quality to sensing energy) and NonConvergenceError if the
@@ -126,11 +131,16 @@ def evaluate_network(config: NetworkConfig,
     """
     if config.sensing_energy == 0.0:
         raise ValueError("zero-SNR network: sensing energy must be positive")
-    snr = config.snr_per_joule * config.sensing_energy
     field = PhysicalField(alpha=config.alpha, spacing=config.spacing)
-    rates = sfcar_rates_at_spacing(field, snr, spec)
+    rates = sfcar_rates_at_spacing(field, measurement_snr(config), spec)
     if not rates.converged:
         raise NonConvergenceError("rate quadrature did not converge for this network")
+    return rates
+
+
+def network_report(config: NetworkConfig, rates: RateResult) -> NetworkReport:
+    """Totals, energy and efficiencies of the network for its per-node
+    rates (from ``node_rates``); arithmetic only."""
     nodes = config.n**2
     energy = total_energy(config)
     total_kli = nodes * rates.kli_rate
@@ -139,7 +149,7 @@ def evaluate_network(config: NetworkConfig,
         node_count=nodes,
         density=density(config),
         area=((config.n - 1) * config.spacing) ** 2,
-        snr=snr,
+        snr=measurement_snr(config),
         per_node_kli=rates.kli_rate,
         per_node_mi=rates.mi_rate,
         total_kli=total_kli,
@@ -148,3 +158,10 @@ def evaluate_network(config: NetworkConfig,
         efficiency_kli=total_kli / energy,
         efficiency_mi=total_mi / energy,
     )
+
+
+def evaluate_network(config: NetworkConfig,
+                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> NetworkReport:
+    """Full report: the per-node rates of ``node_rates`` and the
+    accounting of ``network_report``; raises as ``node_rates``."""
+    return network_report(config, node_rates(config, spec))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import agm, bessel_k1, one_minus_x_k1
+from .specfun import agm, x_k1_pair
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,7 @@ def edge_correlation(field: PhysicalField) -> float:
     monotonically with spacing.  Below alpha*d ~ 2e-10 it rounds to 1; use
     ``edge_decorrelation`` for 1 - rho there.
     """
-    x = field.alpha * field.spacing
-    return x * bessel_k1(x)
+    return x_k1_pair(field.alpha * field.spacing)[0]
 
 
 def edge_decorrelation(field: PhysicalField) -> float:
@@ -168,7 +167,7 @@ def edge_decorrelation(field: PhysicalField) -> float:
     ascending series with the leading 1 cancelled analytically
     (``specfun.one_minus_x_k1``).  Behaves like (x^2/2) ln(1/x), x = alpha*d.
     """
-    return one_minus_x_k1(field.alpha * field.spacing)
+    return x_k1_pair(field.alpha * field.spacing)[1]
 
 
 def spectral_parameters(field: PhysicalField) -> tuple[float, float, float]:
@@ -189,8 +188,8 @@ def spectral_parameters(field: PhysicalField) -> tuple[float, float, float]:
 
 @functools.lru_cache(maxsize=1)  # one solve for a query's rates and its zeta
 def _spectral_parameters(field: PhysicalField) -> tuple[float, float, float]:
-    one_minus_rho = edge_decorrelation(field)
-    zeta, delta = _zeta_delta(edge_correlation(field), one_minus_rho)
+    rho, one_minus_rho = x_k1_pair(field.alpha * field.spacing)
+    zeta, delta = _zeta_delta(rho, one_minus_rho)
     den = delta + 4.0 * zeta * one_minus_rho
     return zeta, delta, (1.0 / den if den > 0.0 else math.inf)
 

@@ -128,6 +128,20 @@ def _k1_integral(x: float) -> float:
     return e * math.sqrt(2.0 / x) * float(_K1_WEIGHTS @ f)
 
 
+def _k1_parts(x: float) -> tuple[float, float]:
+    # (K_1(x), 1 - x K_1(x)) from one series or integral evaluation
+    x = float(x)
+    if not x > 0.0:
+        raise ValueError(f"argument must be positive, got {x}")
+    if x <= K1_CROSSOVER:
+        sum_i1, sum_psi = _k1_series_sums(x)
+        log_half_x = math.log(0.5 * x)
+        return (1.0 / x + log_half_x * (0.5 * x * sum_i1) - 0.25 * x * sum_psi,
+                0.25 * x * x * (sum_psi - 2.0 * log_half_x * sum_i1))
+    k1 = _k1_integral(x)
+    return k1, 1.0 - x * k1
+
+
 def bessel_k1(x: float) -> float:
     """Modified Bessel function of the second kind, order 1.
 
@@ -139,13 +153,7 @@ def bessel_k1(x: float) -> float:
 
     Raises ValueError for x <= 0.
     """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    if x <= K1_CROSSOVER:
-        sum_i1, sum_psi = _k1_series_sums(x)
-        return 1.0 / x + math.log(0.5 * x) * (0.5 * x * sum_i1) - 0.25 * x * sum_psi
-    return _k1_integral(x)
+    return _k1_parts(x)[0]
 
 
 def one_minus_x_k1(x: float) -> float:
@@ -158,13 +166,14 @@ def one_minus_x_k1(x: float) -> float:
     x K_1(x) < 0.28 and the plain difference is exact to rounding.  Raises
     ValueError for x <= 0.
     """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    if x <= K1_CROSSOVER:
-        sum_i1, sum_psi = _k1_series_sums(x)
-        return 0.25 * x * x * (sum_psi - 2.0 * math.log(0.5 * x) * sum_i1)
-    return 1.0 - x * _k1_integral(x)
+    return _k1_parts(x)[1]
+
+
+def x_k1_pair(x: float) -> tuple[float, float]:
+    """(x K_1(x), 1 - x K_1(x)) from one evaluation of K_1, bit for bit x
+    times ``bessel_k1`` and ``one_minus_x_k1``; ValueError for x <= 0."""
+    k1, complement = _k1_parts(x)
+    return float(x) * k1, complement
 
 
 def midpoint_grid(n: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hgmrf import cli
 from hgmrf.cli import main
-from hgmrf.experiments import FitResult, SweepResult
+from hgmrf.experiments import SPACING_QUADRATURE, FitResult, SweepResult
 
 
 def run_cli(argv, capsys):
@@ -172,6 +172,40 @@ class TestNetworkCommand:
         assert int(row["node_count"]) == 256
         assert float(row["total_kli"]) == pytest.approx(256 * float(row["per_node_kli"]))
 
+    @pytest.mark.parametrize("command, rerun, written, config", [
+        (["network", "--n", "64", "--spacing", "0.3"], ["network"], ["first"], "first"),
+        (["experiment", "area"], ["experiment", "area"], ["first.csv", "first.json"],
+         "first.json"),
+    ], ids=["network", "experiment"])
+    def test_config_round_trip_keeps_the_quadrature(self, tmp_path, command, rerun, written,
+                                                    config):
+        # the quadrature flags used to be left out of the params echo, so the
+        # rerun integrated at the default spec: per_node_kli 0.0140326443
+        # where the first run gave 0.0140326403
+        quad = ["--quad-points", "8", "--quad-rtol", "1e-2", "--format", "json"]
+        assert main(command + quad + ["--out", str(tmp_path / "first")]) == 0
+        assert main(rerun + ["--config", str(tmp_path / config), "--format", "json",
+                             "--out", str(tmp_path / "again")]) == 0
+        for name in written:
+            again = tmp_path / name.replace("first", "again")
+            assert again.read_bytes() == (tmp_path / name).read_bytes()
+        params = json.loads((tmp_path / config).read_text())["params"]
+        assert (params["quad_points"], params["quad_rtol"], params["quad_max"]) == (8, 0.01, 4096)
+        assert "sigma2" not in params
+
+    @pytest.mark.parametrize("command", [["network", "--n", "8", "--spacing", "1"],
+                                         ["experiment", "area"]])
+    def test_sigma2_refused(self, tmp_path, capsys, command):
+        # the SNR is beta * E_s: a noise variance had no effect on these commands
+        status, out, err = run_cli(command + ["--sigma2", "2"], capsys)
+        assert (status, out) == (1, "")
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"params": {"sigma2": 1.0}}))
+        status, out, err = run_cli(command + ["--config", str(cfg)], capsys)
+        assert (status, out) == (1, "")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: unrecognized arguments: --sigma2=1.0"]
+
 
 class TestOutputContract:
     def test_csv_format_details(self, tmp_path):
@@ -259,6 +293,19 @@ class TestOutputContract:
         assert status == 0
         assert len(calls) == 1
 
+    def test_spacing_route_evaluates_k1_once(self, capsys, monkeypatch):
+        # rho and 1 - rho come from one evaluation of the K_1 series
+        from hgmrf import physmap, specfun
+
+        physmap._spectral_parameters.cache_clear()
+        calls = []
+        sums = specfun._k1_series_sums
+        monkeypatch.setattr(specfun, "_k1_series_sums", lambda x: calls.append(x) or sums(x))
+        status, _, _ = run_cli(["rates", "--alpha", "1", "--spacing", "0.5", "--snr", "10"],
+                               capsys)
+        assert status == 0
+        assert calls == [0.5]
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"zeta": 0.2, "snr": 10.0, "bogus": 1}))
@@ -298,6 +345,14 @@ class TestExperimentCommand:
         assert summary["results"]["model"] == "power_law"
         assert summary["results"]["estimates"]["exponent"] == pytest.approx(2 / 3, abs=0.05)
         assert summary["params"]["snr"] == 10.0
+
+    def test_spacing_echoes_its_own_quadrature(self, tmp_path):
+        out = tmp_path / "spacing"
+        assert main(["experiment", "spacing", "--values", "3,4,5,6", "--out", str(out)]) == 0
+        params = json.loads((tmp_path / "spacing.json").read_text())["params"]
+        assert (params["quad_points"], params["quad_rtol"], params["quad_max"]) == (
+            SPACING_QUADRATURE.points_per_axis, SPACING_QUADRATURE.relative_tolerance,
+            SPACING_QUADRATURE.max_points_per_axis)
 
     def test_snr_table_cells_are_numbers(self, tmp_path):
         out = tmp_path / "snr"
@@ -425,7 +480,7 @@ PROPERTY_FORMS = {
     "rates-zeta-db": ("rates", ("zeta", "snr-db")),
     "rates-spacing": ("rates", ("alpha", "spacing", "snr")),
     "map": ("map", ("alpha", "spacing")),
-    "network": ("network", ("spacing", "alpha", "beta", "es", "e0", "nu", "sigma2")),
+    "network": ("network", ("spacing", "alpha", "beta", "es", "e0", "nu")),
     "oracle": ("oracle", ("zeta", "snr", "sigma2")),
     "mc": ("mc", ("zeta", "snr", "sigma2")),
 }

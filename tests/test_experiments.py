@@ -1,9 +1,11 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hgmrf import experiments
 from hgmrf.experiments import (
     FitResult,
     SweepResult,
@@ -14,7 +16,7 @@ from hgmrf.experiments import (
     exp_spacing_convergence,
     fit_power_law,
 )
-from hgmrf.network import NetworkConfig
+from hgmrf.network import NetworkConfig, evaluate_network, node_rates
 from hgmrf.specfun import QuadratureSpec
 
 FAST_QUAD = QuadratureSpec(points_per_axis=128, relative_tolerance=1e-8,
@@ -89,8 +91,6 @@ class TestAreaScaling:
         assert s1 == s2  # numpy integer sides are integers too
 
     def test_comm_free_degenerate_exponent_zero(self):
-        from dataclasses import replace
-
         base = replace(self.BASE, comm_energy_coeff=0.0)
         sweep, _ = exp_area_scaling(base, [32, 45, 64, 91, 128], FAST_QUAD)
         pts = list(zip(sweep.column("area"), sweep.column("efficiency_kli")))
@@ -227,3 +227,54 @@ def test_grid_side_not_an_integer_of_at_least_two_rejected(sweep, bad):
     with pytest.raises(ValueError,
                        match=re.escape(f"grid side must be an integer >= 2, got {bad!r}")):
         sweep([64, bad, 128, 181, 256])
+
+
+#: Grid sides of the CLI's default area, density and energy sweeps.
+DEFAULT_SIDES = [32, 45, 64, 91, 128, 181, 256, 362, 512]
+
+#: Report field of each network-sweep column that copies one.
+REPORT_FIELDS = {"area": "area", "density": "density", "snr": "snr",
+                 "per_node_kli": "per_node_kli", "per_node_mi": "per_node_mi",
+                 "total_kli": "total_kli", "total_mi": "total_mi", "energy": "total_energy",
+                 "efficiency_kli": "efficiency_kli", "efficiency_mi": "efficiency_mi"}
+
+
+def _density_config(n):
+    return NetworkConfig(n=n, spacing=math.sqrt(400.0) / (n - 1), snr_per_joule=10.0)
+
+
+@pytest.mark.parametrize("run, config, quadratures", [
+    (lambda ns: exp_area_scaling(TestAreaScaling.BASE, ns, FAST_QUAD),
+     lambda n: replace(TestAreaScaling.BASE, n=n), 1),
+    (lambda ns: exp_energy_scaling(TestEnergyScaling.BASE, "fixed_sensing_area_sweep", ns,
+                                   FAST_QUAD),
+     lambda n: replace(TestEnergyScaling.BASE, n=n), 1),
+    (lambda ns: exp_density_scaling(400.0, 1.0, 10.0, ns, FAST_QUAD),
+     _density_config, 9),
+], ids=["area", "fixed_sensing_area_sweep", "density"])
+def test_network_sweep_integrates_each_rate_once(monkeypatch, run, config, quadratures):
+    # the per-node rates of a row depend on alpha, spacing and SNR only: a
+    # sweep over n at one spacing and SNR integrates them once, where it
+    # used to integrate them once per row
+    calls = []
+    monkeypatch.setattr(experiments, "node_rates",
+                        lambda *a: calls.append(a) or node_rates(*a))
+    sweep, _ = run(DEFAULT_SIDES)
+    assert len(calls) == quadratures
+    monkeypatch.undo()
+    for x, row in sweep.rows:
+        report = evaluate_network(config(int(x)), FAST_QUAD)
+        for column, value in row.items():
+            if column in REPORT_FIELDS:
+                assert value == getattr(report, REPORT_FIELDS[column]), (x, column)
+
+
+def test_sensing_sweep_rows_equal_evaluate_network():
+    values = np.logspace(2, 6, 9)
+    sweep, _ = exp_energy_scaling(TestEnergyScaling.BASE, "fixed_area_sensing_sweep", values,
+                                  FAST_QUAD)
+    for x, row in sweep.rows:
+        report = evaluate_network(replace(TestEnergyScaling.BASE, sensing_energy=x), FAST_QUAD)
+        assert (row["snr"], row["energy"], row["total_kli"], row["total_mi"]) == (
+            report.snr, report.total_energy, report.total_kli, report.total_mi)
+    assert len(set(sweep.column("total_kli"))) == len(values)

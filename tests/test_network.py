@@ -1,16 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hgmrf import network
 from hgmrf.network import (
     NetworkConfig,
     communication_energy,
     density,
     evaluate_network,
     hop_count_total,
+    network_report,
+    node_rates,
     total_energy,
 )
+from hgmrf.physmap import PhysicalField
+from hgmrf.rates import sfcar_rates_at_spacing
 from hgmrf.specfun import NonConvergenceError, QuadratureSpec
 
 
@@ -66,8 +72,6 @@ class TestTotalEnergy:
         base = NetworkConfig(n=16, spacing=1.5, sensing_energy=1.0,
                              comm_energy_coeff=1.0, loss_exponent=2.0)
         e0 = total_energy(base)
-        from dataclasses import replace
-
         assert total_energy(replace(base, sensing_energy=2.0)) > e0
         assert total_energy(replace(base, comm_energy_coeff=2.0)) > e0
         assert total_energy(replace(base, spacing=2.0)) > e0
@@ -93,8 +97,7 @@ class TestTotalEnergy:
         assert NetworkConfig(n=np.int64(8), spacing=1.0).n == 8
 
     @pytest.mark.parametrize("field", ["spacing", "sensing_energy", "comm_energy_coeff",
-                                       "loss_exponent", "snr_per_joule", "alpha",
-                                       "noise_sigma2"])
+                                       "loss_exponent", "snr_per_joule", "alpha"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_config_rejects_non_finite(self, field, value):
         # a NaN or infinite energy parameter used to reach the totals
@@ -158,3 +161,34 @@ class TestEvaluateNetwork:
         eta = evaluate_network(base).efficiency_kli
         eta_scaled = evaluate_network(scaled).efficiency_kli
         assert eta_scaled == eta / 2.0
+
+
+class TestRatesApartFromAccounting:
+    CONFIG = NetworkConfig(n=32, spacing=2.0, sensing_energy=1.5, snr_per_joule=4.0)
+
+    def test_report_runs_no_quadrature(self, monkeypatch):
+        rates = node_rates(self.CONFIG)
+        want = evaluate_network(self.CONFIG)
+
+        def refuse(*args):
+            raise AssertionError("network_report ran a rate quadrature")
+
+        monkeypatch.setattr(network, "sfcar_rates_at_spacing", refuse)
+        assert network_report(self.CONFIG, rates) == want
+        assert network_report(replace(self.CONFIG, n=64), rates).total_kli == 4096 * rates.kli_rate
+
+    def test_rates_at_the_network_snr(self):
+        field = PhysicalField(alpha=1.0, spacing=2.0)
+        assert node_rates(self.CONFIG) == sfcar_rates_at_spacing(field, 6.0)
+
+    def test_node_rates_refuses_as_evaluate_network(self):
+        zero = NetworkConfig(n=8, spacing=1.0, sensing_energy=0.0)
+        unconverged = NetworkConfig(n=8, spacing=0.02, alpha=1.0)
+        spec = QuadratureSpec(points_per_axis=8, max_points_per_axis=16)
+        for evaluate in (node_rates, evaluate_network):
+            with pytest.raises(ValueError, match="^zero-SNR network: sensing energy must be "
+                                                 "positive$"):
+                evaluate(zero)
+            with pytest.raises(NonConvergenceError,
+                               match="^rate quadrature did not converge for this network$"):
+                evaluate(unconverged, spec)
