@@ -23,6 +23,7 @@ from dataclasses import asdict
 from .car import NoiseModel, sfcar_from_snr
 from .experiments import (
     ENERGY_SCENARIOS,
+    HIGH_SNR,
     SPACING_QUADRATURE,
     exp_area_scaling,
     exp_density_scaling,
@@ -32,7 +33,7 @@ from .experiments import (
 )
 from .network import NetworkConfig, evaluate_network
 from .oracle import LatticeSpec, MonteCarloSpec, finite_lattice_rates, sample_llr_per_node
-from .physmap import PhysicalField, edge_correlation, zeta_from_spacing
+from .physmap import PhysicalField, correlation_parameters, zeta_from_spacing
 from .rates import sfcar_rates, sfcar_rates_at_spacing
 from .specfun import DEFAULT_QUADRATURE, NonConvergenceError, QuadratureSpec
 
@@ -291,10 +292,10 @@ def _cmd_rates(args) -> int:
 
 def _cmd_map(args) -> int:
     _require(args, "alpha", "spacing")
-    field = PhysicalField(alpha=args.alpha, spacing=args.spacing)
-    rho = edge_correlation(field)
+    rho, zeta, _delta, _scale = correlation_parameters(
+        PhysicalField(alpha=args.alpha, spacing=args.spacing))
     params = {"alpha": args.alpha, "spacing": args.spacing}
-    results = {"rho": rho, "zeta": zeta_from_spacing(field)}
+    results = {"rho": rho, "zeta": zeta}
     _emit(args, params, results)
     return EXIT_OK
 
@@ -354,8 +355,8 @@ def _cmd_experiment(args) -> int:
     values = None
     if args.values is not None:
         values = [float(v) for v in args.values.split(",") if v.strip()]
-    params = {"name": args.name, "snr": snr, "alpha": args.alpha, "es": args.es,
-              "e0": args.e0, "nu": args.nu, "beta": args.beta}
+    # the echo holds the flags this experiment reads, and no other
+    params = {"name": args.name}
     # grid sides: integral values as ints, any other left for the library to refuse
     ns = [int(v) if v.is_integer() else v for v in values] if values else _default_n_sweep()
     if args.name == "area":
@@ -363,21 +364,24 @@ def _cmd_experiment(args) -> int:
                              comm_energy_coeff=args.e0, loss_exponent=args.nu,
                              snr_per_joule=snr / args.es, alpha=args.alpha)
         sweep, fit = exp_area_scaling(base, ns, spec)
-        params.update(spacing=args.spacing, values=ns)
+        params.update(snr=snr, alpha=args.alpha, spacing=args.spacing, es=args.es,
+                      e0=args.e0, nu=args.nu, values=ns)
     elif args.name == "spacing":
         ds = values or [v / args.alpha for v in (3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0)]
         if spec is DEFAULT_QUADRATURE:  # no quadrature flag given
             spec = SPACING_QUADRATURE
         sweep, fit = exp_spacing_convergence(args.alpha, snr, ds, spec)
-        params.update(values=ds)
+        params.update(snr=snr, alpha=args.alpha, values=ds)
     elif args.name == "density":
         sweep, fit = exp_density_scaling(args.area, args.alpha, snr, ns, spec,
                                          sensing_energy=args.es,
                                          comm_energy_coeff=args.e0)
-        params.update(area=args.area, values=ns)
+        params.update(snr=snr, alpha=args.alpha, area=args.area, es=args.es, e0=args.e0,
+                      values=ns)
     elif args.name == "snr":
         sweep, fit = exp_snr_limits(args.zeta, spec, low_snr=values or ())
-        params.update(zeta=args.zeta)
+        low = sweep.parameter_values[:-len(HIGH_SNR)]
+        params.update(zeta=args.zeta, values=[float(v) for v in low])
     else:
         scenario = args.scenario or "fixed_sensing_area_sweep"
         if scenario == "fixed_area_sensing_sweep":
@@ -389,7 +393,8 @@ def _cmd_experiment(args) -> int:
                              comm_energy_coeff=args.e0, loss_exponent=args.nu,
                              snr_per_joule=args.beta, alpha=args.alpha)
         sweep, fit = exp_energy_scaling(base, scenario, sw, spec)
-        params.update(scenario=scenario, spacing=args.spacing, values=sw)
+        params.update(alpha=args.alpha, beta=args.beta, spacing=args.spacing, es=args.es,
+                      e0=args.e0, nu=args.nu, scenario=scenario, values=sw)
     params.update(_quadrature_params(spec))
     _emit_experiment(args, params, sweep, fit)
     return EXIT_OK

@@ -7,9 +7,11 @@ spacing, logarithmic or power growth in energy).  Asymptotic fits default
 to the top decade of the swept abscissa; pre-asymptotic points bias slope
 estimates.  Fitted constants are published with their r^2 so downstream
 consumers can judge fit quality; none of them are hard-coded anywhere.
-The area, density and energy sweeps tabulate ``network_report`` rows
-through one helper, which integrates the per-node rates once for each
-distinct (alpha, spacing, SNR) among its rows.
+Each sweep integrates the rates of all its rows in one batched quadrature
+(``rates.sfcar_rates_batch``: one kernel call per doubling round).  The
+area, density and energy sweeps tabulate ``network_report`` rows through
+one helper, which integrates the per-node rates once for each distinct
+(alpha, spacing, SNR) among its rows.
 """
 
 import math
@@ -20,9 +22,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .network import (NetworkConfig, communication_energy, measurement_snr, network_report,
-                      node_rates)
-from .physmap import PhysicalField, edge_correlation
-from .rates import RateResult, sfcar_rates, sfcar_rates_at_spacing
+                      node_rates_batch)
+from .physmap import PhysicalField, correlation_parameters
+from .rates import sfcar_rates_batch, sfcar_row, sfcar_row_at_spacing
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec
 
 FIT_MODELS = ("power_law", "exponential_with_sqrt_prefactor", "logarithmic")
@@ -124,17 +126,17 @@ def _grid_sides(values: Sequence[float]) -> List[int]:
 def _network_sweep(parameter_name: str, points: Sequence[Tuple[float, NetworkConfig]],
                    spec: QuadratureSpec, outputs: Callable[..., Dict[str, float]]):
     """Sweep table with the row outputs(config, report) at each (x, config)
-    point; the per-node rates of each distinct (alpha, spacing, SNR) are
-    integrated once."""
+    point; the per-node rates of the distinct (alpha, spacing, SNR) are
+    integrated once each, all in one quadrature."""
     if len(points) < 4:
         raise ValueError("need at least 4 sweep points")
-    rates: Dict[Tuple[float, float, float], RateResult] = {}
-    rows: List[Tuple[float, Dict[str, float]]] = []
-    for x, config in points:
-        key = (config.alpha, config.spacing, measurement_snr(config))
-        if key not in rates:
-            rates[key] = node_rates(config, spec)
-        rows.append((float(x), outputs(config, network_report(config, rates[key]))))
+    keys = [(config.alpha, config.spacing, measurement_snr(config)) for _, config in points]
+    distinct: Dict[Tuple[float, float, float], NetworkConfig] = {}
+    for key, (_, config) in zip(keys, points):
+        distinct.setdefault(key, config)
+    rates = dict(zip(distinct, node_rates_batch(list(distinct.values()), spec)))
+    rows = [(float(x), outputs(config, network_report(config, rates[key])))
+            for key, (x, config) in zip(keys, points)]
     return SweepResult(parameter_name, tuple(rows))
 
 
@@ -201,23 +203,17 @@ def exp_spacing_convergence(alpha: float, snr: float, d_values: Sequence[float],
         raise ValueError("need at least 4 sweep points")
     if alpha * d_values[0] < 3.0:
         raise ValueError("spacings must satisfy alpha*d >= 3 (tail regime)")
-    base = sfcar_rates(0.0, snr, spec)
-    rows: List[Tuple[float, Dict[str, float]]] = []
+    rate_rows = [sfcar_row(0.0, snr)]
+    rhos = []
     for d in d_values:
         field = PhysicalField(alpha=alpha, spacing=d)
-        res = sfcar_rates_at_spacing(field, snr, spec)
-        rows.append(
-            (
-                d,
-                {
-                    "rho": edge_correlation(field),
-                    "kli": res.kli_rate,
-                    "mi": res.mi_rate,
-                    "gap_kli": base.kli_rate - res.kli_rate,
-                    "gap_mi": base.mi_rate - res.mi_rate,
-                },
-            )
-        )
+        # the row reads the parameters physmap cached for rho: one K_1 per spacing
+        rhos.append(correlation_parameters(field)[0])
+        rate_rows.append(sfcar_row_at_spacing(field, snr))
+    base, *results = sfcar_rates_batch(rate_rows, spec)
+    rows = [(d, {"rho": rho, "kli": res.kli_rate, "mi": res.mi_rate,
+                 "gap_kli": base.kli_rate - res.kli_rate, "gap_mi": base.mi_rate - res.mi_rate})
+            for d, rho, res in zip(d_values, rhos, results)]
     sweep = SweepResult("spacing", tuple(rows))
     ds = sweep.parameter_values
     estimates: Dict[str, float] = {}
@@ -316,10 +312,9 @@ def exp_snr_limits(zeta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
     high = list(HIGH_SNR)
     if len(low) < 4:
         raise ValueError("need at least 4 low-SNR points")
-    rows: List[Tuple[float, Dict[str, float]]] = []
-    for snr in low + high:
-        res = sfcar_rates(zeta, snr, spec)
-        rows.append((snr, {"kli": res.kli_rate, "mi": res.mi_rate}))
+    snrs = low + high
+    results = sfcar_rates_batch([sfcar_row(zeta, snr) for snr in snrs], spec)
+    rows = [(snr, {"kli": res.kli_rate, "mi": res.mi_rate}) for snr, res in zip(snrs, results)]
     sweep = SweepResult("snr", tuple(rows))
     kli, mi = (np.array([out[key] for _, out in rows]) for key in ("kli", "mi"))
     exp_kli = exp_mi = r2 = None

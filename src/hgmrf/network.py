@@ -11,16 +11,18 @@ information per Joule.  Units are nats, Joules, meters throughout (SNR
 linear; dB conversion belongs to the CLI).
 
 The per-node rates depend on alpha, the spacing and the SNR, never on n:
-``node_rates`` integrates them, ``network_report`` is the accounting for
-given rates, and ``evaluate_network`` chains the two.
+``node_rates`` integrates them (``node_rates_batch`` for many networks in
+one quadrature), ``network_report`` is the accounting for given rates, and
+``evaluate_network`` chains the two.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
+from typing import List, Sequence
 
 from .physmap import PhysicalField
-from .rates import RateResult, sfcar_rates_at_spacing
+from .rates import RateResult, sfcar_rates_batch, sfcar_row_at_spacing
 from .specfun import DEFAULT_QUADRATURE, NonConvergenceError, QuadratureSpec
 
 
@@ -129,13 +131,25 @@ def node_rates(config: NetworkConfig,
     measurement quality to sensing energy) and NonConvergenceError if the
     rate quadrature fails to converge.
     """
-    if config.sensing_energy == 0.0:
-        raise ValueError("zero-SNR network: sensing energy must be positive")
-    field = PhysicalField(alpha=config.alpha, spacing=config.spacing)
-    rates = sfcar_rates_at_spacing(field, measurement_snr(config), spec)
-    if not rates.converged:
+    return node_rates_batch([config], spec)[0]
+
+
+def node_rates_batch(configs: Sequence[NetworkConfig],
+                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> List[RateResult]:
+    """``node_rates`` of each network, integrated together by
+    ``rates.sfcar_rates_batch``: every network is validated, in order,
+    before any is integrated, and NonConvergenceError is raised if any
+    network's rates fail to converge."""
+    rows = []
+    for config in configs:
+        if config.sensing_energy == 0.0:
+            raise ValueError("zero-SNR network: sensing energy must be positive")
+        field = PhysicalField(alpha=config.alpha, spacing=config.spacing)
+        rows.append(sfcar_row_at_spacing(field, measurement_snr(config)))
+    results = sfcar_rates_batch(rows, spec)
+    if not all(r.converged for r in results):
         raise NonConvergenceError("rate quadrature did not converge for this network")
-    return rates
+    return results
 
 
 def network_report(config: NetworkConfig, rates: RateResult) -> NetworkReport:

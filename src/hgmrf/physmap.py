@@ -95,21 +95,26 @@ def _one_minus_rho_at(t: float) -> float:
     return (agm(k_prime, (1.0 - delta) ** 2 / (1.0 + k_prime))[0] - delta) / (1.0 - delta)
 
 
-#: Low end of the solve in t, at the smallest normal delta (a subnormal
-#: delta = e^t cannot resolve 1 - rho to 1e-12), and 1 - rho there.  Its high
-#: end is t = -1, where 1 - rho ~ 0.83 is above every target (t = 0 divides
-#: by zero).
+#: Ends of the solve in t, with 1 - rho at each: the smallest normal delta
+#: (a subnormal delta = e^t cannot resolve 1 - rho to 1e-12), and t = -1,
+#: where 1 - rho ~ 0.83 is above every target (t = 0 divides by zero).
 _T_MIN = math.log(np.finfo(float).tiny)
 _ONE_MINUS_RHO_MIN = _one_minus_rho_at(_T_MIN)
+_T_MAX = -1.0
+_ONE_MINUS_RHO_MAX = _one_minus_rho_at(_T_MAX)
+
+#: rho at the high end of the solve in zeta; at its low end, zeta = 0, rho is 0.
+_RHO_AT_ZETA_MAX = rho_from_zeta(ZETA_MAX)
 
 
-def _solve(f, target: float, lo: float, hi: float) -> float:
-    # where the increasing f meets target in [lo, hi], to adjacent floats or
-    # an exact hit: regula falsi, Illinois variant (Dowell & Jarratt, BIT 11,
-    # 1971), with a bisection after each false-position step that does not
-    # halve the bracket, so at most about twice bisection's steps.  A point
-    # rounded onto an end (within an ulp of the root) moves one float inward.
-    r_lo, r_hi = f(lo) - target, f(hi) - target
+def _solve(f, target: float, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    # where the increasing f, with f(lo) = f_lo and f(hi) = f_hi, meets target
+    # in [lo, hi], to adjacent floats or an exact hit: regula falsi, Illinois
+    # variant (Dowell & Jarratt, BIT 11, 1971), with a bisection after each
+    # false-position step that does not halve the bracket, so at most about
+    # twice bisection's steps.  A point rounded onto an end (within an ulp of
+    # the root) moves one float inward.
+    r_lo, r_hi = f_lo - target, f_hi - target
     w_lo = w_hi = 1.0
     last = 0  # the end moved last: -1 lo, +1 hi
     falsi = True
@@ -140,11 +145,12 @@ def _zeta_delta(rho: float, one_minus_rho: float) -> tuple[float, float]:
     if rho == 0.0:
         return 0.0, 1.0
     if rho <= 0.5:  # 1 - 4 zeta >= 0.017: exact to rounding from zeta
-        zeta = _solve(rho_from_zeta, rho, 0.0, ZETA_MAX)
+        zeta = _solve(rho_from_zeta, rho, 0.0, ZETA_MAX, 0.0, _RHO_AT_ZETA_MAX)
         return zeta, 1.0 - 4.0 * zeta
     if one_minus_rho <= _ONE_MINUS_RHO_MIN:  # 1 - 4 zeta below normal range
         return 0.25, 0.0
-    delta = math.exp(_solve(_one_minus_rho_at, one_minus_rho, _T_MIN, -1.0))
+    delta = math.exp(_solve(_one_minus_rho_at, one_minus_rho, _T_MIN, _T_MAX,
+                            _ONE_MINUS_RHO_MIN, _ONE_MINUS_RHO_MAX))
     return 0.25 * (1.0 - delta), delta
 
 
@@ -183,15 +189,21 @@ def spectral_parameters(field: PhysicalField) -> tuple[float, float, float]:
     terms that needs no rounded rho (1 - rho ~ (alpha d)^2 ln(1/(alpha d))
     at high density), and 1/(1 - rho) where 1 - 4 zeta is taken as 0.
     """
+    return _spectral_parameters(field)[1:]
+
+
+def correlation_parameters(field: PhysicalField) -> tuple[float, float, float, float]:
+    """(rho, zeta, 1 - 4 zeta, (2/pi) K(4 zeta)): ``edge_correlation`` and
+    ``spectral_parameters`` of the field from one evaluation of K_1."""
     return _spectral_parameters(field)
 
 
-@functools.lru_cache(maxsize=1)  # one solve for a query's rates and its zeta
-def _spectral_parameters(field: PhysicalField) -> tuple[float, float, float]:
+@functools.lru_cache(maxsize=1)  # one solve for a query's rates, its rho and its zeta
+def _spectral_parameters(field: PhysicalField) -> tuple[float, float, float, float]:
     rho, one_minus_rho = x_k1_pair(field.alpha * field.spacing)
     zeta, delta = _zeta_delta(rho, one_minus_rho)
     den = delta + 4.0 * zeta * one_minus_rho
-    return zeta, delta, (1.0 / den if den > 0.0 else math.inf)
+    return rho, zeta, delta, (1.0 / den if den > 0.0 else math.inf)
 
 
 def zeta_from_spacing(field: PhysicalField) -> float:

@@ -26,6 +26,13 @@ kernel keeps full relative precision there, so no regime needs a wider
 tolerance, an absolute floor or a separate branch.  At zeta = 1/4 exactly
 both rates are served as their closed-form limit 0.
 
+Every SFCAR rate goes through ``sfcar_rates_batch``, over rows
+(1 - 4 zeta, power scale, SNR): a sweep passes all its rows at once, a
+single query (``sfcar_rates``, ``sfcar_rates_at_spacing``) one row.  Each
+doubling round is one kernel call for the rows not yet converged; each
+row keeps its own node count and convergence flag, and its result is the
+same bits alone or in any batch.
+
 The general-CAR route through f and sigma^2 is kept as an independent
 implementation for cross-validation: a doubling 2-D midpoint rule.
 """
@@ -33,6 +40,7 @@ implementation for cross-validation: a doubling 2-D midpoint rule.
 import math
 import sys
 from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from . import _kernels_py
 from .car import CarCoefficients, NoiseModel
@@ -85,35 +93,101 @@ _CAR_ZERO_FLOOR = 1e-12
 _SFCAR_ZERO_FLOOR = sys.float_info.min
 
 
-def _doubling_rates(eval_sums, spec: QuadratureSpec, zero_floor: float) -> RateResult:
+def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec,
+                    zero_floor: float) -> List[RateResult]:
+    # the doubling quadrature of m rows at once: eval_sums(n, live) gives the
+    # (kli, mi) estimates at n nodes of the rows whose indices are in live,
+    # and each round doubles n for the rows that have not converged yet
     n = spec.points_per_axis
-    prev = eval_sums(n)
-    while 2 * n <= spec.max_points_per_axis:
+    live = list(range(m))
+    kli, mi = eval_sums(n, live)
+    results: List[Optional[RateResult]] = [None] * m
+    while live and 2 * n <= spec.max_points_per_axis:
         n *= 2
-        cur = eval_sums(n)
-        if (close_enough(prev[0], cur[0], spec.relative_tolerance, zero_floor)
-                and close_enough(prev[1], cur[1], spec.relative_tolerance, zero_floor)):
-            return RateResult(cur[0], cur[1], n, True)
-        prev = cur
-    return RateResult(prev[0], prev[1], n, False)
+        pending = []
+        for i, k, v in zip(live, *eval_sums(n, live)):
+            if (close_enough(kli[i], k, spec.relative_tolerance, zero_floor)
+                    and close_enough(mi[i], v, spec.relative_tolerance, zero_floor)):
+                results[i] = RateResult(k, v, n, True)
+            else:
+                kli[i], mi[i] = k, v
+                pending.append(i)
+        live = pending
+    for i in live:
+        results[i] = RateResult(kli[i], mi[i], n, False)
+    return results
 
 
 #: Largest SNR/scale c the SFCAR kernel takes: its log1p argument ~2c/(A + r0),
 #: A + r0 >= 1/2, first overflows at c = 4.5e307 (delta = 0) to 9.0e307 (1).
 _C_MAX = sys.float_info.max / 4.0
 
+#: The rates where SNR/scale is 0: at zeta = 1/4, or an SNR below the
+#: smallest double times the scale.
+_ZERO_RATES = RateResult(0.0, 0.0, 0, True)
 
-def _sfcar_quadrature(delta: float, scale: float, snr: float,
-                      spec: QuadratureSpec) -> RateResult:
-    # the one rate path of the symmetric first-order field: delta = 1 - 4 zeta
-    c = snr / scale
-    if c == 0.0:  # below the smallest double: so are both rates
-        return RateResult(0.0, 0.0, 0, True)
-    if c > _C_MAX:
-        raise ValueError(f"SNR/scale = {c!r} is above {_C_MAX!r}, where the rate "
-                         "integrand overflows")
-    return _doubling_rates(lambda n: _kernels_py.sfcar_grid_sums(c, delta, n), spec,
-                           _SFCAR_ZERO_FLOOR)
+
+def sfcar_rates_batch(rows: Sequence[Tuple[float, float, float]],
+                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> List[RateResult]:
+    """Rates of the symmetric first-order field for each row (1 - 4 zeta,
+    power scale (2/pi) K(4 zeta), SNR), as ``sfcar_row`` and
+    ``sfcar_row_at_spacing`` give them.
+
+    The one rate path: all rows share one doubling quadrature, in which
+    each round is one kernel call for the rows that have not converged, and
+    each row keeps its own node count and convergence flag.  A row's
+    result does not depend on the other rows.  Where SNR/scale is 0 (an
+    infinite scale at zeta = 1/4) both rates are exactly 0.  Raises
+    ValueError, before any row is integrated, where SNR/scale is above
+    _C_MAX; non-convergence within the quadrature budget is flagged on the
+    result, not raised.
+    """
+    c = [snr / scale for _delta, scale, snr in rows]
+    for ci in c:
+        if ci > _C_MAX:
+            raise ValueError(f"SNR/scale = {ci!r} is above {_C_MAX!r}, where the rate "
+                             "integrand overflows")
+    results = [_ZERO_RATES] * len(rows)
+    live = [i for i, ci in enumerate(c) if ci != 0.0]
+    if live:
+        cs, deltas = [c[i] for i in live], [rows[i][0] for i in live]
+
+        def sums(n, sel):
+            kli, mi = _kernels_py.sfcar_grid_sums([cs[j] for j in sel], [deltas[j] for j in sel], n)
+            return kli.tolist(), mi.tolist()
+
+        for i, res in zip(live, _doubling_rates(sums, len(live), spec, _SFCAR_ZERO_FLOOR)):
+            results[i] = res
+    return results
+
+
+def sfcar_row(zeta: float, snr: float) -> Tuple[float, float, float]:
+    """The row (1 - 4 zeta, (2/pi) K(4 zeta), SNR) of ``sfcar_rates_batch``
+    at (zeta, SNR); the scale is infinite at zeta = 1/4."""
+    zeta = float(zeta)
+    if not 0.0 <= zeta <= 0.25:
+        raise ValueError("zeta must lie in [0, 1/4]")
+    if not 0.0 < snr < math.inf:
+        raise ValueError("snr must be positive and finite")
+    scale = math.inf if zeta == 0.25 else (2.0 / math.pi) * elliptic_k(4.0 * zeta)
+    return 1.0 - 4.0 * zeta, scale, snr
+
+
+def sfcar_row_at_spacing(field: PhysicalField, snr: float) -> Tuple[float, float, float]:
+    """The row (1 - 4 zeta, (2/pi) K(4 zeta), SNR) of ``sfcar_rates_batch``
+    at physical parameters, from ``physmap.spectral_parameters``.
+
+    Raises ValueError where 1 - rho is below the smallest normal double
+    (alpha*spacing below ~1.1e-155): the power scale 1/(1 - rho) overflows
+    there.
+    """
+    if not 0.0 < snr < math.inf:
+        raise ValueError("snr must be positive and finite")
+    _zeta, delta, scale = spectral_parameters(field)
+    if not scale <= 1.0 / sys.float_info.min:  # scale is 1/(1 - rho) there
+        raise ValueError(f"alpha*spacing = {field.alpha * field.spacing!r} is too small: "
+                         "1 - rho is below the smallest normal double")
+    return delta, scale, snr
 
 
 def sfcar_rates(zeta: float, snr: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> RateResult:
@@ -123,15 +197,7 @@ def sfcar_rates(zeta: float, snr: float, spec: QuadratureSpec = DEFAULT_QUADRATU
     correlated limit).  Non-convergence within the quadrature budget is
     flagged on the result, not raised.
     """
-    zeta = float(zeta)
-    if not 0.0 <= zeta <= 0.25:
-        raise ValueError("zeta must lie in [0, 1/4]")
-    if not 0.0 < snr < math.inf:
-        raise ValueError("snr must be positive and finite")
-    if zeta == 0.25:
-        return RateResult(0.0, 0.0, 0, True)
-    return _sfcar_quadrature(1.0 - 4.0 * zeta, (2.0 / math.pi) * elliptic_k(4.0 * zeta),
-                             snr, spec)
+    return sfcar_rates_batch([sfcar_row(zeta, snr)], spec)[0]
 
 
 def sfcar_rates_at_spacing(field: PhysicalField, snr: float,
@@ -146,13 +212,7 @@ def sfcar_rates_at_spacing(field: PhysicalField, snr: float,
     (alpha*spacing below ~1.1e-155): the power scale 1/(1 - rho) overflows
     there.
     """
-    if not 0.0 < snr < math.inf:
-        raise ValueError("snr must be positive and finite")
-    _zeta, delta, scale = spectral_parameters(field)
-    if not scale <= 1.0 / sys.float_info.min:  # scale is 1/(1 - rho) there
-        raise ValueError(f"alpha*spacing = {field.alpha * field.spacing!r} is too small: "
-                         "1 - rho is below the smallest normal double")
-    return _sfcar_quadrature(delta, scale, snr, spec)
+    return sfcar_rates_batch([sfcar_row_at_spacing(field, snr)], spec)[0]
 
 
 def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
@@ -166,12 +226,12 @@ def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
     """
     oi, oj, vals = coeffs.tap_arrays()
 
-    def sums(n: int):
+    def sums(n: int, _live):
         kli, mi, min_den = _kernels_py.car_grid_sums(vals, oi, oj, noise.sigma2, n)
         if min_den <= 0.0:
             raise ValueError(
                 f"precision symbol non-positive on integration grid (min {min_den:.3g})"
             )
-        return kli, mi
+        return [kli], [mi]
 
-    return _doubling_rates(sums, spec, _CAR_ZERO_FLOOR)
+    return _doubling_rates(sums, 1, spec, _CAR_ZERO_FLOOR)[0]

@@ -306,6 +306,19 @@ class TestOutputContract:
         assert status == 0
         assert calls == [0.5]
 
+    def test_map_evaluates_k1_once(self, capsys, monkeypatch):
+        # rho and zeta come from one evaluation of the K_1 series, where
+        # edge_correlation and zeta_from_spacing took one each
+        from hgmrf import physmap, specfun
+
+        physmap._spectral_parameters.cache_clear()
+        calls = []
+        sums = specfun._k1_series_sums
+        monkeypatch.setattr(specfun, "_k1_series_sums", lambda x: calls.append(x) or sums(x))
+        status, _, _ = run_cli(["map", "--alpha", "1", "--spacing", "0.5"], capsys)
+        assert status == 0
+        assert calls == [0.5]
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"zeta": 0.2, "snr": 10.0, "bogus": 1}))
@@ -328,6 +341,71 @@ class TestOutputContract:
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1
 
 
+#: The seven default experiment runs: each experiment, with both energy
+#: scenarios and the snr sweep at the correlation endpoint.
+DEFAULT_EXPERIMENTS = (
+    ["experiment", "area"],
+    ["experiment", "density"],
+    ["experiment", "spacing"],
+    ["experiment", "snr"],
+    ["experiment", "energy", "--scenario", "fixed_area_sensing_sweep"],
+    ["experiment", "energy", "--scenario", "fixed_sensing_area_sweep"],
+    ["experiment", "snr", "--zeta", "0.25"],
+)
+
+
+class TestExperimentWork:
+    def test_one_kernel_call_per_doubling_round(self, tmp_path, monkeypatch):
+        # each sweep integrates all its distinct rows together, in one SFCAR
+        # kernel call per doubling round (256 and 512 nodes): 12 calls where
+        # one call per row and round made 84; at zeta = 1/4 every rate is 0
+        from hgmrf import _kernels_py
+
+        calls = []
+        kernel = _kernels_py.sfcar_grid_sums
+        monkeypatch.setattr(_kernels_py, "sfcar_grid_sums",
+                            lambda c, delta, n: calls.append((len(c), n)) or kernel(c, delta, n))
+        for i, argv in enumerate(DEFAULT_EXPERIMENTS):
+            assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
+        assert len(calls) == 12
+        assert calls == [(rows, n) for rows in (1, 9, 12, 10, 9, 1) for n in (256, 512)]
+
+    def test_spacing_evaluates_k1_once_per_spacing(self, tmp_path, monkeypatch):
+        # the rho column and the rates of a spacing share one K_1 evaluation:
+        # 11 for the 11 default spacings, where there were 22
+        from hgmrf import physmap, specfun
+
+        physmap._spectral_parameters.cache_clear()
+        calls = []
+        integral = specfun._k1_integral
+        monkeypatch.setattr(specfun, "_k1_integral", lambda x: calls.append(x) or integral(x))
+        assert main(["experiment", "spacing", "--out", str(tmp_path / "spacing")]) == 0
+        assert len(calls) == 11
+
+    @pytest.mark.parametrize("argv, echoed", [
+        (DEFAULT_EXPERIMENTS[0], {"snr", "alpha", "spacing", "es", "e0", "nu", "values"}),
+        (DEFAULT_EXPERIMENTS[1], {"snr", "alpha", "area", "es", "e0", "values"}),
+        (DEFAULT_EXPERIMENTS[2], {"snr", "alpha", "values"}),
+        (DEFAULT_EXPERIMENTS[3], {"zeta", "values"}),
+        (DEFAULT_EXPERIMENTS[4], {"alpha", "beta", "spacing", "es", "e0", "nu", "scenario",
+                                  "values"}),
+        (DEFAULT_EXPERIMENTS[5], {"alpha", "beta", "spacing", "es", "e0", "nu", "scenario",
+                                  "values"}),
+    ], ids=["area", "density", "spacing", "snr", "energy-sensing", "energy-area"])
+    def test_echoes_only_the_flags_it_reads(self, tmp_path, argv, echoed):
+        # the energy sweeps used to echo an SNR of 10 they never read (theirs
+        # is beta * E_s), and the others beta, nu, E_s or E_0 likewise; a
+        # rerun from the echo reproduces the run byte for byte
+        assert main(argv + ["--out", str(tmp_path / "first")]) == 0
+        params = json.loads((tmp_path / "first.json").read_text())["params"]
+        assert set(params) == echoed | {"name", "quad_points", "quad_rtol", "quad_max"}
+        assert main(argv[:2] + ["--config", str(tmp_path / "first.json"),
+                                "--out", str(tmp_path / "again")]) == 0
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / ("again" + suffix)).read_bytes()
+                    == (tmp_path / ("first" + suffix)).read_bytes())
+
+
 class TestExperimentCommand:
     def test_emits_table_and_fit(self, tmp_path):
         out = tmp_path / "energy"
@@ -344,7 +422,9 @@ class TestExperimentCommand:
         summary = json.loads((tmp_path / "energy.json").read_text())
         assert summary["results"]["model"] == "power_law"
         assert summary["results"]["estimates"]["exponent"] == pytest.approx(2 / 3, abs=0.05)
-        assert summary["params"]["snr"] == 10.0
+        # the energy sweeps take their SNR from beta * E_s, never from --snr
+        assert "snr" not in summary["params"]
+        assert summary["params"]["beta"] == 1.0
 
     def test_spacing_echoes_its_own_quadrature(self, tmp_path):
         out = tmp_path / "spacing"

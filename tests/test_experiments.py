@@ -16,8 +16,8 @@ from hgmrf.experiments import (
     exp_spacing_convergence,
     fit_power_law,
 )
-from hgmrf.network import NetworkConfig, evaluate_network, node_rates
-from hgmrf.specfun import QuadratureSpec
+from hgmrf.network import NetworkConfig, evaluate_network, node_rates_batch
+from hgmrf.specfun import NonConvergenceError, QuadratureSpec
 
 FAST_QUAD = QuadratureSpec(points_per_axis=128, relative_tolerance=1e-8,
                            max_points_per_axis=2048)
@@ -243,7 +243,7 @@ def _density_config(n):
     return NetworkConfig(n=n, spacing=math.sqrt(400.0) / (n - 1), snr_per_joule=10.0)
 
 
-@pytest.mark.parametrize("run, config, quadratures", [
+@pytest.mark.parametrize("run, config, integrated_rows", [
     (lambda ns: exp_area_scaling(TestAreaScaling.BASE, ns, FAST_QUAD),
      lambda n: replace(TestAreaScaling.BASE, n=n), 1),
     (lambda ns: exp_energy_scaling(TestEnergyScaling.BASE, "fixed_sensing_area_sweep", ns,
@@ -252,21 +252,36 @@ def _density_config(n):
     (lambda ns: exp_density_scaling(400.0, 1.0, 10.0, ns, FAST_QUAD),
      _density_config, 9),
 ], ids=["area", "fixed_sensing_area_sweep", "density"])
-def test_network_sweep_integrates_each_rate_once(monkeypatch, run, config, quadratures):
+def test_network_sweep_integrates_each_rate_once(monkeypatch, run, config, integrated_rows):
     # the per-node rates of a row depend on alpha, spacing and SNR only: a
     # sweep over n at one spacing and SNR integrates them once, where it
-    # used to integrate them once per row
-    calls = []
-    monkeypatch.setattr(experiments, "node_rates",
-                        lambda *a: calls.append(a) or node_rates(*a))
+    # used to integrate them once per row; all rows go in one batch
+    batches = []
+    monkeypatch.setattr(experiments, "node_rates_batch",
+                        lambda configs, spec: batches.append(len(configs))
+                        or node_rates_batch(configs, spec))
     sweep, _ = run(DEFAULT_SIDES)
-    assert len(calls) == quadratures
+    assert batches == [integrated_rows]
     monkeypatch.undo()
     for x, row in sweep.rows:
         report = evaluate_network(config(int(x)), FAST_QUAD)
         for column, value in row.items():
             if column in REPORT_FIELDS:
                 assert value == getattr(report, REPORT_FIELDS[column]), (x, column)
+
+
+def test_network_sweep_with_one_unconverged_row_raises_as_evaluate_network():
+    # the rows converge at 512 nodes but for the last, at alpha*d = 1e-100,
+    # which needs 2048: the batch raises as evaluate_network does for it
+    spec = QuadratureSpec(max_points_per_axis=1024)
+    points = [(n, NetworkConfig(n=n, spacing=2.0)) for n in (8, 16, 32)]
+    points.append((64, NetworkConfig(n=64, spacing=1e-100)))
+    assert all(r.converged for r in node_rates_batch([c for _, c in points[:3]], spec))
+    message = "^rate quadrature did not converge for this network$"
+    with pytest.raises(NonConvergenceError, match=message):
+        evaluate_network(points[-1][1], spec)
+    with pytest.raises(NonConvergenceError, match=message):
+        experiments._network_sweep("n", points, spec, lambda config, report: {})
 
 
 def test_sensing_sweep_rows_equal_evaluate_network():

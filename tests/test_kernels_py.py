@@ -47,6 +47,28 @@ def test_python_kernel_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("n", [1, 7, 256, 2048])
+def test_sfcar_row_does_not_depend_on_the_batch(monkeypatch, n):
+    # each row is reduced by itself: the same bits alone, in any order and
+    # across row blocks of any size
+    rng = np.random.default_rng(n)
+    c = np.concatenate([10.0 ** rng.uniform(-20, 6, 9), [1e-300, 4e307]])
+    delta = np.concatenate([rng.uniform(0, 1, 6), 10.0 ** rng.uniform(-300, -1, 4), [0.0]])
+    alone = [_kernels_py.sfcar_grid_sums(ci, di, n) for ci, di in zip(c, delta)]
+    assert all(isinstance(v, float) for pair in alone for v in pair)
+    order = rng.permutation(len(c))
+    for block in (1, 3 * n, _kernels_py._SFCAR_BLOCK_ELEMS):
+        monkeypatch.setattr(_kernels_py, "_SFCAR_BLOCK_ELEMS", block)
+        kli, mi = _kernels_py.sfcar_grid_sums(c[order], delta[order], n)
+        assert list(zip(kli, mi)) == [alone[i] for i in order]
+
+
+def test_sfcar_rows_must_pair_up():
+    assert [v.shape for v in _kernels_py.sfcar_grid_sums([], [], 256)] == [(0,), (0,)]
+    with pytest.raises(ValueError, match="differ in shape"):
+        _kernels_py.sfcar_grid_sums([0.5, 2.0], 0.08, 256)
+
+
 def car_sums(n):
     theta = np.array([1.0, -0.2, -0.2, -0.2, -0.2])
     oi = np.array([0, 1, -1, 0, 0])

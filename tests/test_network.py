@@ -173,7 +173,7 @@ class TestRatesApartFromAccounting:
         def refuse(*args):
             raise AssertionError("network_report ran a rate quadrature")
 
-        monkeypatch.setattr(network, "sfcar_rates_at_spacing", refuse)
+        monkeypatch.setattr(network, "sfcar_rates_batch", refuse)
         assert network_report(self.CONFIG, rates) == want
         assert network_report(replace(self.CONFIG, n=64), rates).total_kli == 4096 * rates.kli_rate
 

@@ -7,12 +7,16 @@ import pytest
 
 from hgmrf.car import NoiseModel, sfcar_from_snr
 from hgmrf.physmap import ZETA_MAX, PhysicalField, edge_correlation, rho_from_zeta
+from hgmrf import _kernels_py
 from hgmrf.rates import (
     RateResult,
     kli_integrand,
     kli_rate_car,
     sfcar_rates,
     sfcar_rates_at_spacing,
+    sfcar_rates_batch,
+    sfcar_row,
+    sfcar_row_at_spacing,
 )
 from hgmrf.car import CarCoefficients
 from hgmrf.specfun import QuadratureSpec
@@ -122,6 +126,53 @@ class TestSfcarRates:
         field = PhysicalField(1.098620830009533e-136, 0.1)
         res = sfcar_rates_at_spacing(field, 1.098620830009533e-136)
         assert (res.kli_rate, res.mi_rate, res.converged) == (0.0, 0.0, True)
+
+
+class TestBatchedRows:
+    SPEC = QuadratureSpec(points_per_axis=64, relative_tolerance=1e-9, max_points_per_axis=512)
+    #: Rows converging at 128 and at 512 nodes, two whose SNR/scale is 0
+    #: (zeta = 1/4, and an SNR that underflows against its scale), and one
+    #: (alpha*d = 1e-100, which needs 2048 nodes) unconverged at 512.
+    ROWS = (sfcar_row(0.0, 10.0), sfcar_row(0.2, 1.0), sfcar_row(0.25 * (1.0 - 4.1e-4), 1.0),
+            sfcar_row(0.25, 1.0), (0.5, 2.0, 5e-324),
+            sfcar_row_at_spacing(PhysicalField(1.0, 1e-100), 10.0), sfcar_row(0.1, 1e-3))
+
+    def test_rows_reach_every_outcome(self):
+        results = sfcar_rates_batch(self.ROWS, self.SPEC)
+        assert [(r.quadrature_points, r.converged) for r in results] == [
+            (128, True), (512, True), (512, True), (0, True), (0, True), (512, False),
+            (512, True)]
+        assert results[3] == results[4] == RateResult(0.0, 0.0, 0, True)
+
+    def test_row_result_does_not_depend_on_the_batch(self):
+        alone = [sfcar_rates_batch([row], self.SPEC)[0] for row in self.ROWS]
+        rng = np.random.default_rng(0)
+        for size in (2, 3, 5, len(self.ROWS)):
+            for _ in range(3):
+                picked = rng.permutation(len(self.ROWS))[:size]
+                assert sfcar_rates_batch([self.ROWS[i] for i in picked], self.SPEC) == [
+                    alone[i] for i in picked]
+
+    def test_single_queries_are_batches_of_one(self):
+        field = PhysicalField(1.0, 1e-100)
+        assert sfcar_rates(0.2, 1.0, self.SPEC) == sfcar_rates_batch(
+            [sfcar_row(0.2, 1.0)], self.SPEC)[0]
+        assert sfcar_rates_at_spacing(field, 10.0, self.SPEC) == sfcar_rates_batch(
+            [sfcar_row_at_spacing(field, 10.0)], self.SPEC)[0]
+
+    def test_each_round_integrates_only_the_unconverged_rows(self, monkeypatch):
+        calls = []
+        kernel = _kernels_py.sfcar_grid_sums
+        monkeypatch.setattr(_kernels_py, "sfcar_grid_sums",
+                            lambda c, delta, n: calls.append((len(c), n)) or kernel(c, delta, n))
+        sfcar_rates_batch(self.ROWS, self.SPEC)
+        # the two zero rows never reach the kernel; the zeta = 0 row stops at 128
+        assert calls == [(5, 64), (5, 128), (4, 256), (4, 512)]
+
+    def test_overflowing_row_refused_before_any_row_is_integrated(self, monkeypatch):
+        monkeypatch.setattr(_kernels_py, "sfcar_grid_sums", None)
+        with pytest.raises(ValueError, match="^SNR/scale = 1e\\+308 is above"):
+            sfcar_rates_batch([sfcar_row(0.1, 1.0), (1.0, 1.0, 1e308)])
 
 
 class TestHighPrecisionCrossValidation:
