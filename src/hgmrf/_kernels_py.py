@@ -3,12 +3,15 @@
 ``sfcar_grid_sums`` averages the symmetric first-order integrands over w1
 alone, the w2 integral being closed-form, for many rows of (SNR/scale,
 1 - 4 zeta) at once: in blocks of rows of at most 6144 cells, each row
-reduced by its own dot product.  ``_weighted_grid_sums`` is the
+reduced by itself.  ``_weighted_grid_sums`` is the
 one weighted 2-D sum of the (KLI, MI) integrands, in cache-sized row blocks:
 ``car_grid_sums`` feeds it a general CAR symbol from ``car_symbol`` on half
 a midpoint grid, ``oracle.finite_lattice_rates`` the exact finite-lattice
-eigenvalues.  Every reduction runs in a fixed order, so repeated calls are
-bit-identical.
+eigenvalues.  Both rate kernels return, beside their n-node means, the
+means of the n/2-node rule embedded in their nodes, from the same
+integrand values: the error estimate the doubling quadrature compares,
+so a round takes one call at the node count two calls reached before.
+Every reduction runs in a fixed order, so repeated calls are bit-identical.
 """
 
 import functools
@@ -43,18 +46,27 @@ _HALF_SINH_SERIES = tuple(0.5 / math.factorial(2 * k + 3) for k in range(10))
 
 @functools.lru_cache(maxsize=16)  # a sweep uses a few node counts, 256 * 2^k
 def _node_steps(n: int) -> np.ndarray:
-    # 0, 1, ..., n - 1 in a row: the unit grid the tanh rule's nodes are scaled from
-    k = np.arange(n, dtype=np.float64).reshape(1, n)
+    # 1, 2, ..., n in a row: the unit grid the tanh rule's nodes are scaled from
+    k = np.arange(1, n + 1, dtype=np.float64).reshape(1, n)
     k.flags.writeable = False
     return k
 
 
+def _embedded(n: int) -> slice:
+    # every other node of an n-node rule, counted from the last: for even n
+    # the odd-indexed nodes, the n/2-node rule of twice the step
+    return slice((n - 1) % 2, None, 2)
+
+
 def _tanh_rule(n: int, stop, step):
-    """sin^2(w1/2) at the n nodes of the tanh rule on (0, pi), and their
-    weights, normalized to sum to 1, as arrays of shape (m, n): a row per
-    row of the columns ``stop`` and ``step`` (shape (m, 1), or floats for
-    m = 1), where a rule runs from x = _X_TOP down to ``stop`` in steps of
-    ``step``.
+    """sin^2(w1/2) at the n nodes of the tanh rule on (0, pi), shape (m, n),
+    and the weights of shape (m, 2, n) of the rule and of its embedded rule
+    on the nodes ``_embedded(n)`` (0 on the others), each normalized to sum
+    to 1: a row per row of the columns ``stop`` and ``step`` (shape (m, 1),
+    or floats for m = 1).  A rule has its nodes at x = _X_TOP + (j + 1) step,
+    j = 0..n-1, the last one at ``stop``; for even n its odd-indexed nodes
+    are the n/2-node rule of twice the step down to the same ``stop``, so
+    one set of integrand values gives both estimates.
 
     Writing tan(w1/2) = exp(x) gives sin^2(w1/2) = 1/(1 + exp(-2x)) and
     dw1 = sech(x) dx; the integrand is analytic in the strip
@@ -64,18 +76,21 @@ def _tanh_rule(n: int, stop, step):
     stop = log(eps * w), below which the integrand, bounded by its value
     at w1 = 0, adds less than eps relative.  (A tanh-sinh map thins
     its nodes in log w1 toward 0 instead; a peak of width 1e-40 there needs
-    thousands of them.)  The nodes are those of np.linspace, scaled from a
-    cached unit grid.
+    thousands of them.)  The nodes are scaled from a cached unit grid, the
+    last one set to ``stop`` exactly.
     """
     x = _node_steps(n) * step + _X_TOP
-    if n > 1:
-        x[:, -1:] = stop
+    x[:, -1:] = stop
     ex = np.exp(x)
     e = ex * ex  # underflows harmlessly to sin^2 = 0 deep in the tail
     one_plus_e = 1.0 + e
-    weight = ex / one_plus_e  # sech(x) / 2
-    weight /= weight.sum(axis=1, keepdims=True)
-    return e / one_plus_e, weight
+    weights = np.zeros((x.shape[0], 2, n))
+    fine, half = weights[:, 0], weights[:, 1, _embedded(n)]
+    np.divide(ex, one_plus_e, out=fine)  # sech(x) / 2
+    half[...] = fine[:, _embedded(n)]
+    half /= half.sum(axis=1, keepdims=True)
+    fine /= fine.sum(axis=1, keepdims=True)
+    return e / one_plus_e, weights
 
 
 def _half_sinh_minus_x(x: np.ndarray) -> np.ndarray:
@@ -95,7 +110,10 @@ def sfcar_grid_sums(c, delta, n: int):
     """Averages over (-pi, pi]^2 of (0.5*log1p(s) - 0.5*s/(1+s), 0.5*log1p(s))
     with s = c/(1 - 2 zeta cos w1 - 2 zeta cos w2), delta = 1 - 4 zeta,
     by the w2 integral in closed form and an n-node rule in w1, for each
-    row of the equal-length 1-D arrays (or scalars) c and delta.
+    row of the equal-length 1-D arrays (or scalars) c and delta, together
+    with the same averages by the rule's embedded n/2-node rule: every other
+    node of the same integrand values, the error estimate of the n-node
+    averages.
 
     Writing the denominator as A - B cos w2 with
     A - B = delta + (1 - delta) sin^2(w1/2) and A + B = 1 + (1 - delta) sin^2(w1/2),
@@ -112,9 +130,11 @@ def sfcar_grid_sums(c, delta, n: int):
     capped at 1, which sets the reach of the w1 rule.
 
     Rows go through in blocks of at most _SFCAR_BLOCK_ELEMS cells, and each
-    row is reduced by itself, so a row's result does not depend on the other
-    rows or on its place among them.  Returns (kli_means, mi_means), arrays
-    with one entry per row, or two floats if c and delta are both scalars.
+    row is reduced by itself, so a row's results do not depend on the other
+    rows or on their place among them.  Returns (kli_means, mi_means,
+    kli_half_means, mi_half_means), arrays with one entry per row, or four
+    floats if c and delta are both scalars.  For odd n the embedded rule
+    takes the (n + 1)/2 nodes an even number of steps from the deepest one.
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
@@ -125,21 +145,20 @@ def sfcar_grid_sums(c, delta, n: int):
     for ci, di in zip(c.ravel().tolist(), delta.ravel().tolist()):
         # the smallest positive double keeps the log finite where c = delta = 0
         stop = math.log(_EPS * math.sqrt(min(1.0, max(ci, di, _TINY))))
-        rows.append((ci, di, stop, (stop - _X_TOP) / max(n - 1, 1)))
-    kli, mi = np.empty(len(rows)), np.empty(len(rows))
+        rows.append((ci, di, stop, (stop - _X_TOP) / n))
+    means = np.empty((4, len(rows)))
     per_block = max(1, _SFCAR_BLOCK_ELEMS // n)
     for lo in range(0, len(rows), per_block):
-        block = slice(lo, lo + per_block)
-        kli[block], mi[block] = _sfcar_rows(rows[block], n)
-    return (float(kli[0]), float(mi[0])) if c.ndim == 0 else (kli, mi)
+        means[:, lo:lo + per_block] = _sfcar_rows(rows[lo:lo + per_block], n)
+    return tuple(means[:, 0].tolist()) if c.ndim == 0 else tuple(means)
 
 
 def _sfcar_rows(rows, n: int):
-    # (kli, mi) means of the rows (c, delta, stop, step) of one block; each
-    # parameter is a column, or a float for one row
+    # (kli, mi, kli_half, mi_half) means of the rows (c, delta, stop, step)
+    # of one block; each parameter is a column, or a float for one row
     c, delta, stop, step = (np.array(col)[:, None] if len(rows) > 1 else col[0]
                             for col in zip(*rows))
-    sin2, weight = _tanh_rule(n, stop, step)
+    sin2, weights = _tanh_rule(n, stop, step)
     t = (1.0 - delta) * sin2
     lo = t + delta
     hi = t + 1.0
@@ -153,16 +172,19 @@ def _sfcar_rows(rows, n: int):
     kli = np.where(gap < 1.0,
                    (a + c) / r1 * np.sinh(0.5 * small) ** 2 - _half_sinh_minus_x(small),
                    0.5 * (gap - c / r1))
-    return _average(weight, kli), 0.5 * _average(weight, gap)
+    kli, kli_half = _average(weights, kli)
+    mi, mi_half = _average(weights, gap)
+    return kli, 0.5 * mi, kli_half, 0.5 * mi_half
 
 
-def _average(weight: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # row means, each summed as deviations from the value nearest w1 = pi,
-    # so that a constant (zeta = 0) is averaged exactly; the stacked matmul
-    # takes one dot product per row, so no row's sum depends on the others
+def _average(weights: np.ndarray, values: np.ndarray):
+    # row means by the rule and by its embedded rule, each summed as
+    # deviations from the value nearest w1 = pi, so that a constant
+    # (zeta = 0) is averaged exactly; the stacked matmul takes one product
+    # per row, so no row's sums depend on the others
     first = values[:, :1]
-    dev = values - first
-    return first[:, 0] + np.matmul(weight[:, None, :], dev[:, :, None])[:, 0, 0]
+    means = first + np.matmul(weights, (values - first)[:, :, None])[:, :, 0]
+    return means[:, 0], means[:, 1]
 
 
 def car_symbol(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray,
@@ -185,29 +207,46 @@ def _integrands(s):
     return mi - 0.5 * (s / (1.0 + s)), mi
 
 
-def _weighted_grid_sums(row_w: np.ndarray, col_w: np.ndarray, block_snr):
+def _weighted_grid_sums(row_w: np.ndarray, col_w: np.ndarray, block_snr,
+                        even_cells: bool = False):
     """Sums over k, l of row_w[k] col_w[l] (kli, mi)(s_kl), with s on the
     rows ``rows`` (a slice) by every column from ``block_snr(rows)``, in
-    blocks of at most _BLOCK_ELEMS cells or one row."""
+    blocks of at most _BLOCK_ELEMS cells or one row.  With ``even_cells``,
+    also the same sums over the cells with k + l even, (kli, mi, kli_even,
+    mi_even): one more mat-vec per integrand and block, over the even
+    columns; a row's odd columns are the rest of its full sum."""
     step = max(1, _BLOCK_ELEMS // col_w.size)
-    kli = mi = 0.0
+    col_even = col_w * (np.arange(col_w.size) % 2 == 0)
+    sums = [0.0] * (4 if even_cells else 2)
     for lo in range(0, row_w.size, step):
         rows = slice(lo, min(lo + step, row_w.size))
         r = row_w[rows]
-        kli_block, mi_block = _integrands(block_snr(rows))
-        kli += float(r @ (kli_block @ col_w))
-        mi += float(r @ (mi_block @ col_w))
-    return kli, mi
+        odd_rows = slice((lo + 1) % 2, None, 2)  # the rows of odd k, which meet the odd columns
+        for j, block in enumerate(_integrands(block_snr(rows))):
+            per_row = block @ col_w
+            sums[j] += float(r @ per_row)
+            if even_cells:
+                even = block @ col_even
+                even[odd_rows] = per_row[odd_rows] - even[odd_rows]
+                sums[2 + j] += float(r @ even)
+    return tuple(sums)
 
 
 def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: float, n: int):
     """Midpoint-grid means for den(w) = sum_t theta[t]*cos(oi[t]*w1 + oj[t]*w2),
-    s = 1/(sigma2*den).  Returns (kli_mean, mi_mean, min_den).
+    s = 1/(sigma2*den), with their error estimate from the embedded grid.
+    Returns (kli_mean, mi_mean, kli_half_mean, mi_half_mean, min_den).
 
     The taps must be symmetric, as ``CarCoefficients`` stores them: then
     den(-w) = den(w), and -w_k = w_{n-1-k} on the midpoint grid, so rows
     k < n//2 are summed once with weight 2, odd n adds its middle row
     once, and min_den comes from the same half grid.
+
+    The half means average the same values over the cells (k, l) with
+    k + l even.  For even n these are the (even, even) cells, which form
+    the n/2-point grid at offset 1/4, -pi + 2 pi (j + 1/4)/(n/2), and the
+    (odd, odd) cells, its mirror image under w -> -w: so the half means
+    are that grid's means, with no symbol or integrand evaluated again.
     """
     if n < 1:
         raise ValueError("grid side must be >= 1")
@@ -228,6 +267,7 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
         return 1.0 / (sigma2 * den)
 
     fold = np.where(np.arange((n + 1) // 2) < n // 2, 2.0, 1.0)
-    kli, mi = _weighted_grid_sums(fold, np.ones(n), snr)
+    kli, mi, kli_even, mi_even = _weighted_grid_sums(fold, np.ones(n), snr, even_cells=True)
     norm = float(n) * float(n)
-    return kli / norm, mi / norm, min(lows)
+    even_norm = float((n * n + 1) // 2)  # the cells with k + l even
+    return kli / norm, mi / norm, kli_even / even_norm, mi_even / even_norm, min(lows)

@@ -50,6 +50,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+#: The flags each experiment reads besides --values, the quadrature and the
+#: output flags (--snr-db stands for --snr): it echoes these and refuses any
+#: other experiment flag, given on the command line or through --config.
+_EXPERIMENT_FLAGS = {
+    "area": ("snr", "alpha", "spacing", "es", "e0", "nu"),
+    "spacing": ("snr", "alpha"),
+    "density": ("snr", "alpha", "area", "es", "e0"),
+    "energy": ("alpha", "beta", "spacing", "es", "e0", "nu", "scenario"),
+    "snr": ("zeta",),
+}
+
+#: The values of the experiment flags not given.
+_EXPERIMENT_DEFAULTS = {"snr": 10.0, "zeta": 0.1, "scenario": "fixed_sensing_area_sweep",
+                        "area": 400.0, "alpha": 1.0, "spacing": 2.0, "es": 1.0, "e0": 1.0,
+                        "nu": 2.0, "beta": 1.0}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # built once, on first use: parsing leaves the parser unchanged
@@ -110,22 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e0", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=2.0)
 
+    # no defaults here: an experiment refuses the flags it does not read,
+    # so it must see which were given (see _EXPERIMENT_DEFAULTS)
     p = sub.add_parser("experiment", parents=[snr, quad, output],
                        help="scaling-law sweep + asymptote fit")
-    p.add_argument("name", choices=("area", "spacing", "density", "energy", "snr"))
-    p.add_argument("--zeta", type=float, default=0.1,
-                   help="edge dependence for the snr experiment")
+    p.add_argument("name", choices=tuple(_EXPERIMENT_FLAGS))
+    p.add_argument("--zeta", type=float, help="edge dependence for the snr experiment")
     p.add_argument("--values", default=None,
                    help="comma-separated sweep values (n, spacings, or sensing energies)")
-    p.add_argument("--scenario", choices=ENERGY_SCENARIOS, default=None,
-                   help="energy experiment scenario")
-    p.add_argument("--area", type=float, default=400.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--spacing", type=float, default=2.0)
-    p.add_argument("--es", type=float, default=1.0)
-    p.add_argument("--e0", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--scenario", choices=ENERGY_SCENARIOS, help="energy experiment scenario")
+    for name in ("area", "alpha", "spacing", "es", "e0", "nu", "beta"):
+        p.add_argument(f"--{name}", type=float)
 
     return parser
 
@@ -349,53 +361,60 @@ def _default_n_sweep():
     return [32, 45, 64, 91, 128, 181, 256, 362, 512]
 
 
+def _experiment_flags(args) -> dict:
+    """The flags the experiment reads, at their given or default values,
+    the SNR resolved from --snr or --snr-db.  Raises ValueError naming the
+    first experiment flag given that it does not read."""
+    reads = _EXPERIMENT_FLAGS[args.name]
+    for name in (*_EXPERIMENT_DEFAULTS, "snr_db"):
+        if getattr(args, name) is not None and name.removesuffix("_db") not in reads:
+            raise ValueError(f"experiment {args.name} does not read "
+                             f"--{name.replace('_', '-')}")
+    flags = {name: _EXPERIMENT_DEFAULTS[name] if getattr(args, name) is None
+             else getattr(args, name) for name in reads}
+    if "snr" in reads and (args.snr is not None or args.snr_db is not None):
+        flags["snr"] = _resolve_snr(args)
+    return flags
+
+
 def _cmd_experiment(args) -> int:
     spec = _resolve_quadrature(args)
-    snr = _resolve_snr(args) if (args.snr is not None or args.snr_db is not None) else 10.0
+    flags = _experiment_flags(args)
     values = None
     if args.values is not None:
         values = [float(v) for v in args.values.split(",") if v.strip()]
-    # the echo holds the flags this experiment reads, and no other
-    params = {"name": args.name}
     # grid sides: integral values as ints, any other left for the library to refuse
     ns = [int(v) if v.is_integer() else v for v in values] if values else _default_n_sweep()
     if args.name == "area":
-        base = NetworkConfig(n=ns[0], spacing=args.spacing, sensing_energy=args.es,
-                             comm_energy_coeff=args.e0, loss_exponent=args.nu,
-                             snr_per_joule=snr / args.es, alpha=args.alpha)
+        base = NetworkConfig(n=ns[0], spacing=flags["spacing"], sensing_energy=flags["es"],
+                             comm_energy_coeff=flags["e0"], loss_exponent=flags["nu"],
+                             snr_per_joule=flags["snr"] / flags["es"], alpha=flags["alpha"])
         sweep, fit = exp_area_scaling(base, ns, spec)
-        params.update(snr=snr, alpha=args.alpha, spacing=args.spacing, es=args.es,
-                      e0=args.e0, nu=args.nu, values=ns)
+        values = ns
     elif args.name == "spacing":
-        ds = values or [v / args.alpha for v in (3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0)]
+        values = values or [v / flags["alpha"]
+                            for v in (3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0)]
         if spec is DEFAULT_QUADRATURE:  # no quadrature flag given
             spec = SPACING_QUADRATURE
-        sweep, fit = exp_spacing_convergence(args.alpha, snr, ds, spec)
-        params.update(snr=snr, alpha=args.alpha, values=ds)
+        sweep, fit = exp_spacing_convergence(flags["alpha"], flags["snr"], values, spec)
     elif args.name == "density":
-        sweep, fit = exp_density_scaling(args.area, args.alpha, snr, ns, spec,
-                                         sensing_energy=args.es,
-                                         comm_energy_coeff=args.e0)
-        params.update(snr=snr, alpha=args.alpha, area=args.area, es=args.es, e0=args.e0,
-                      values=ns)
+        sweep, fit = exp_density_scaling(flags["area"], flags["alpha"], flags["snr"], ns, spec,
+                                         sensing_energy=flags["es"], comm_energy_coeff=flags["e0"])
+        values = ns
     elif args.name == "snr":
-        sweep, fit = exp_snr_limits(args.zeta, spec, low_snr=values or ())
-        low = sweep.parameter_values[:-len(HIGH_SNR)]
-        params.update(zeta=args.zeta, values=[float(v) for v in low])
+        sweep, fit = exp_snr_limits(flags["zeta"], spec, low_snr=values or ())
+        values = [float(v) for v in sweep.parameter_values[:-len(HIGH_SNR)]]
     else:
-        scenario = args.scenario or "fixed_sensing_area_sweep"
-        if scenario == "fixed_area_sensing_sweep":
-            sw = values or [10.0**e for e in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0)]
+        if flags["scenario"] == "fixed_area_sensing_sweep":
+            values = values or [10.0**e for e in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0)]
         else:
-            sw = values or [float(v) for v in _default_n_sweep()]
+            values = values or [float(v) for v in _default_n_sweep()]
         # the grid of the sensing sweep; the area sweep sets n in every row
-        base = NetworkConfig(n=64, spacing=args.spacing, sensing_energy=args.es,
-                             comm_energy_coeff=args.e0, loss_exponent=args.nu,
-                             snr_per_joule=args.beta, alpha=args.alpha)
-        sweep, fit = exp_energy_scaling(base, scenario, sw, spec)
-        params.update(alpha=args.alpha, beta=args.beta, spacing=args.spacing, es=args.es,
-                      e0=args.e0, nu=args.nu, scenario=scenario, values=sw)
-    params.update(_quadrature_params(spec))
+        base = NetworkConfig(n=64, spacing=flags["spacing"], sensing_energy=flags["es"],
+                             comm_energy_coeff=flags["e0"], loss_exponent=flags["nu"],
+                             snr_per_joule=flags["beta"], alpha=flags["alpha"])
+        sweep, fit = exp_energy_scaling(base, flags["scenario"], values, spec)
+    params = {"name": args.name, **flags, "values": values, **_quadrature_params(spec)}
     _emit_experiment(args, params, sweep, fit)
     return EXIT_OK
 

@@ -19,10 +19,14 @@ which is the canonical evaluation path here.  Its w2 integral is
 closed-form (see ``_kernels_py.sfcar_grid_sums``), which leaves an average
 over w1 taken by a trapezoid rule in log tan(w1/2), whose nodes reach
 down to the width sqrt(max(SNR/scale, 1 - 4 zeta)) of the spectral peak
-at w1 = 0, however small.  The node count doubles from
-``points_per_axis`` until two successive estimates agree to the relative
-tolerance, down to rates at the bottom of the normal double range: the
-kernel keeps full relative precision there, so no regime needs a wider
+at w1 = 0, however small.  Every kernel call at n nodes returns the
+estimates of the rule and of its embedded n/2-node rule (its odd-indexed
+nodes), taken from the same integrand values.  The first call is at
+2 ``points_per_axis`` nodes, and the node count doubles until the pair of
+one call agrees to the relative tolerance: the same comparisons, and the
+same node counts, as successive calls at n/2 and n, one call fewer.  This
+holds down to rates at the bottom of the normal double range: the kernel
+keeps full relative precision there, so no regime needs a wider
 tolerance, an absolute floor or a separate branch.  At zeta = 1/4 exactly
 both rates are served as their closed-form limit 0.
 
@@ -34,7 +38,8 @@ row keeps its own node count and convergence flag, and its result is the
 same bits alone or in any batch.
 
 The general-CAR route through f and sigma^2 is kept as an independent
-implementation for cross-validation: a doubling 2-D midpoint rule.
+implementation for cross-validation: a doubling 2-D midpoint rule, whose
+call at side n gives the embedded n/2 grid at offset 1/4 as its pair.
 """
 
 import math
@@ -96,25 +101,27 @@ _SFCAR_ZERO_FLOOR = sys.float_info.min
 def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec,
                     zero_floor: float) -> List[RateResult]:
     # the doubling quadrature of m rows at once: eval_sums(n, live) gives the
-    # (kli, mi) estimates at n nodes of the rows whose indices are in live,
-    # and each round doubles n for the rows that have not converged yet
-    n = spec.points_per_axis
-    live = list(range(m))
-    kli, mi = eval_sums(n, live)
+    # (kli, mi, kli_half, mi_half) estimates of the rows whose indices are in
+    # live, at n nodes and by the rule's embedded n/2-node rule; a row whose
+    # pair agrees has converged, and each round doubles n for the rest, from
+    # 2 points_per_axis, so the first pair is points_per_axis against twice that
+    n = 2 * spec.points_per_axis
+    if n > spec.max_points_per_axis:  # no pair fits the budget: one plain estimate
+        n = spec.points_per_axis
+        kli, mi = eval_sums(n, range(m))[:2]
+        return [RateResult(k, v, n, False) for k, v in zip(kli, mi)]
     results: List[Optional[RateResult]] = [None] * m
-    while live and 2 * n <= spec.max_points_per_axis:
-        n *= 2
+    live = list(range(m))
+    while live:
         pending = []
-        for i, k, v in zip(live, *eval_sums(n, live)):
-            if (close_enough(kli[i], k, spec.relative_tolerance, zero_floor)
-                    and close_enough(mi[i], v, spec.relative_tolerance, zero_floor)):
-                results[i] = RateResult(k, v, n, True)
-            else:
-                kli[i], mi[i] = k, v
+        for i, k, v, k_half, v_half in zip(live, *eval_sums(n, live)):
+            converged = (close_enough(k_half, k, spec.relative_tolerance, zero_floor)
+                         and close_enough(v_half, v, spec.relative_tolerance, zero_floor))
+            results[i] = RateResult(k, v, n, converged)
+            if not converged:
                 pending.append(i)
-        live = pending
-    for i in live:
-        results[i] = RateResult(kli[i], mi[i], n, False)
+        live = pending if 2 * n <= spec.max_points_per_axis else []
+        n *= 2
     return results
 
 
@@ -153,8 +160,8 @@ def sfcar_rates_batch(rows: Sequence[Tuple[float, float, float]],
         cs, deltas = [c[i] for i in live], [rows[i][0] for i in live]
 
         def sums(n, sel):
-            kli, mi = _kernels_py.sfcar_grid_sums([cs[j] for j in sel], [deltas[j] for j in sel], n)
-            return kli.tolist(), mi.tolist()
+            means = _kernels_py.sfcar_grid_sums([cs[j] for j in sel], [deltas[j] for j in sel], n)
+            return [v.tolist() for v in means]
 
         for i, res in zip(live, _doubling_rates(sums, len(live), spec, _SFCAR_ZERO_FLOOR)):
             results[i] = res
@@ -227,11 +234,11 @@ def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
     oi, oj, vals = coeffs.tap_arrays()
 
     def sums(n: int, _live):
-        kli, mi, min_den = _kernels_py.car_grid_sums(vals, oi, oj, noise.sigma2, n)
+        *means, min_den = _kernels_py.car_grid_sums(vals, oi, oj, noise.sigma2, n)
         if min_den <= 0.0:
             raise ValueError(
                 f"precision symbol non-positive on integration grid (min {min_den:.3g})"
             )
-        return [kli], [mi]
+        return [[v] for v in means]
 
     return _doubling_rates(sums, 1, spec, _CAR_ZERO_FLOOR)[0]

@@ -357,8 +357,10 @@ DEFAULT_EXPERIMENTS = (
 class TestExperimentWork:
     def test_one_kernel_call_per_doubling_round(self, tmp_path, monkeypatch):
         # each sweep integrates all its distinct rows together, in one SFCAR
-        # kernel call per doubling round (256 and 512 nodes): 12 calls where
-        # one call per row and round made 84; at zeta = 1/4 every rate is 0
+        # kernel call per doubling round, and every row converges in the
+        # first, at 512 nodes against its embedded 256-node rule: 6 calls
+        # where one call per row and round made 84; at zeta = 1/4 every
+        # rate is 0
         from hgmrf import _kernels_py
 
         calls = []
@@ -367,8 +369,8 @@ class TestExperimentWork:
                             lambda c, delta, n: calls.append((len(c), n)) or kernel(c, delta, n))
         for i, argv in enumerate(DEFAULT_EXPERIMENTS):
             assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
-        assert len(calls) == 12
-        assert calls == [(rows, n) for rows in (1, 9, 12, 10, 9, 1) for n in (256, 512)]
+        assert len(calls) == 6
+        assert calls == [(rows, 512) for rows in (1, 9, 12, 10, 9, 1)]
 
     def test_spacing_evaluates_k1_once_per_spacing(self, tmp_path, monkeypatch):
         # the rho column and the rates of a spacing share one K_1 evaluation:
@@ -411,7 +413,7 @@ class TestExperimentCommand:
         out = tmp_path / "energy"
         status = main(
             ["experiment", "energy", "--scenario", "fixed_sensing_area_sweep",
-             "--values", "32,45,64,91,128,181,256", "--snr", "10",
+             "--values", "32,45,64,91,128,181,256",
              "--quad-points", "128", "--out", str(out)]
         )
         assert status == 0
@@ -425,6 +427,33 @@ class TestExperimentCommand:
         # the energy sweeps take their SNR from beta * E_s, never from --snr
         assert "snr" not in summary["params"]
         assert summary["params"]["beta"] == 1.0
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["experiment", "area", "--beta", "2"], "--beta"),
+        (["experiment", "spacing", "--es", "2"], "--es"),
+        (["experiment", "density", "--nu", "3"], "--nu"),
+        (["experiment", "snr", "--snr-db", "10"], "--snr-db"),
+        (["experiment", "energy", "--snr", "10"], "--snr"),
+    ], ids=["area", "spacing", "density", "snr", "energy"])
+    def test_refuses_a_flag_it_does_not_read(self, tmp_path, capsys, argv, flag):
+        # such a flag used to be ignored: `experiment energy --snr 10` gave
+        # the table of its default beta * E_s
+        status, out, err = run_cli(argv + ["--out", str(tmp_path / "x")], capsys)
+        assert (status, out) == (1, "")
+        assert err == f"error: experiment {argv[1]} does not read {flag}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("name, key", [
+        ("area", "zeta"), ("spacing", "area"), ("density", "scenario"), ("snr", "alpha"),
+        ("energy", "snr"),
+    ])
+    def test_refuses_an_unread_flag_from_config(self, tmp_path, capsys, name, key):
+        value = "fixed_area_sensing_sweep" if key == "scenario" else 0.2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"params": {"name": "other", key: value}}))
+        status, out, err = run_cli(["experiment", name, "--config", str(config)], capsys)
+        assert (status, out) == (1, "")
+        assert err == f"error: experiment {name} does not read --{key}\n"
 
     def test_spacing_echoes_its_own_quadrature(self, tmp_path):
         out = tmp_path / "spacing"

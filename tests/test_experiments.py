@@ -119,6 +119,18 @@ class TestSpacingConvergence:
         assert np.all(gaps > 0)
         assert np.all(np.diff(gaps) < 0)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_d_prefactor_fit_recovers_double_rate(self, alpha):
+        # on the grids of acceptance criterion 9 the gap goes as
+        # d exp(-2 alpha d), so the fit with a d prefactor gives 2 alpha,
+        # 2.024 and 4.048, where the paper's sqrt(d) prefactor biases it low
+        ds = np.linspace(3.0 / alpha, 8.0 / alpha, 11)
+        _, fit = exp_spacing_convergence(alpha, 10.0, ds)
+        for tag in ("kli", "mi"):
+            assert fit.estimates[f"decay_rate_{tag}_d_prefactor"] == pytest.approx(
+                2.0 * alpha, rel=0.02)
+            assert fit.estimates[f"decay_rate_{tag}"] < 2.0 * alpha
+
     def test_scale_invariance_in_alpha(self):
         _, fit1 = exp_spacing_convergence(1.0, 10.0, np.linspace(3.0, 6.0, 6))
         _, fit2 = exp_spacing_convergence(2.0, 10.0, np.linspace(1.5, 3.0, 6))

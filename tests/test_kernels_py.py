@@ -33,12 +33,24 @@ def direct_symbol(theta, oi, oj, w1, w2):
 
 
 def direct_grid_sums(theta, oi, oj, sigma2, n):
-    """(kli_mean, mi_mean, min_den) over every cell of the n x n midpoint grid."""
-    w = midpoint_grid(n)
-    den = direct_symbol(theta, oi, oj, w, w)
-    s = 1.0 / (sigma2 * den)
-    halflog = 0.5 * np.log1p(s)
-    return np.mean(halflog - 0.5 * s / (1.0 + s)), np.mean(halflog), den.min()
+    """(kli_mean, mi_mean, kli_half_mean, mi_half_mean, min_den) over every
+    cell of the n x n midpoint grid; the half means over every cell of the
+    n/2-point grid at offset 1/4 for even n, over the cells (k, l) of the
+    n-point grid with k + l even for odd n."""
+    def means(w, cells=Ellipsis):
+        den = direct_symbol(theta, oi, oj, w, w)
+        s = 1.0 / (sigma2 * den[cells])
+        halflog = 0.5 * np.log1p(s)
+        return np.mean(halflog - 0.5 * s / (1.0 + s)), np.mean(halflog), den.min()
+
+    kli, mi, min_den = means(midpoint_grid(n))
+    if n % 2 == 0:
+        m = n // 2
+        half = means(-np.pi + 2.0 * np.pi * (np.arange(m) + 0.25) / m)
+    else:
+        k = np.arange(n)
+        half = means(midpoint_grid(n), (k[:, None] + k[None, :]) % 2 == 0)
+    return kli, mi, half[0], half[1], min_den
 
 
 def test_python_kernel_deterministic():
@@ -54,17 +66,32 @@ def test_sfcar_row_does_not_depend_on_the_batch(monkeypatch, n):
     rng = np.random.default_rng(n)
     c = np.concatenate([10.0 ** rng.uniform(-20, 6, 9), [1e-300, 4e307]])
     delta = np.concatenate([rng.uniform(0, 1, 6), 10.0 ** rng.uniform(-300, -1, 4), [0.0]])
+    # (kli, mi) by the rule and by its embedded rule, four floats a row
     alone = [_kernels_py.sfcar_grid_sums(ci, di, n) for ci, di in zip(c, delta)]
-    assert all(isinstance(v, float) for pair in alone for v in pair)
+    assert all(len(means) == 4 and all(isinstance(v, float) for v in means) for means in alone)
     order = rng.permutation(len(c))
     for block in (1, 3 * n, _kernels_py._SFCAR_BLOCK_ELEMS):
         monkeypatch.setattr(_kernels_py, "_SFCAR_BLOCK_ELEMS", block)
-        kli, mi = _kernels_py.sfcar_grid_sums(c[order], delta[order], n)
-        assert list(zip(kli, mi)) == [alone[i] for i in order]
+        means = _kernels_py.sfcar_grid_sums(c[order], delta[order], n)
+        assert list(zip(*means)) == [alone[i] for i in order]
+
+
+@pytest.mark.parametrize("n", [8, 256, 2048])
+def test_sfcar_half_means_are_the_half_rule(n):
+    # the odd-indexed nodes of the n-node rule are the nodes of the
+    # n/2-node rule, so the embedded means are that rule's means, up to the
+    # order of the sums (2.0e-15 at c = 1e-300, n = 256)
+    rng = np.random.default_rng(n)
+    c = np.concatenate([10.0 ** rng.uniform(-20, 6, 9), [1e-300, 4e307]])
+    delta = np.concatenate([rng.uniform(0, 1, 6), 10.0 ** rng.uniform(-300, -1, 4), [0.0]])
+    _kli, _mi, kli_half, mi_half = _kernels_py.sfcar_grid_sums(c, delta, n)
+    kli, mi, _kli_half, _mi_half = _kernels_py.sfcar_grid_sums(c, delta, n // 2)
+    assert kli_half == pytest.approx(kli, rel=4e-15, abs=0)
+    assert mi_half == pytest.approx(mi, rel=4e-15, abs=0)
 
 
 def test_sfcar_rows_must_pair_up():
-    assert [v.shape for v in _kernels_py.sfcar_grid_sums([], [], 256)] == [(0,), (0,)]
+    assert [v.shape for v in _kernels_py.sfcar_grid_sums([], [], 256)] == [(0,)] * 4
     with pytest.raises(ValueError, match="differ in shape"):
         _kernels_py.sfcar_grid_sums([0.5, 2.0], 0.08, 256)
 
@@ -112,9 +139,22 @@ def test_folded_grid_matches_full_grid(seed, n):
     theta, oi, oj = positive_symmetric_taps(np.random.default_rng(seed))
     got = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
     want = direct_grid_sums(theta, oi, oj, 0.5, n)
+    assert len(got) == 5
     assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0)
     assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0)
+    assert got[4] == pytest.approx(want[4], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("n", [8, 9, 256, 301, 302])
+@pytest.mark.parametrize("seed", range(4))
+def test_car_half_means_are_the_embedded_grid(seed, n):
+    # from the folded half grid, against the offset-1/4 grid of side n/2
+    # (the k + l even cells for odd n) summed cell by cell
+    theta, oi, oj = positive_symmetric_taps(np.random.default_rng(seed))
+    got = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
+    want = direct_grid_sums(theta, oi, oj, 0.5, n)
     assert got[2] == pytest.approx(want[2], rel=1e-14, abs=0)
+    assert got[3] == pytest.approx(want[3], rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("seed", range(8))

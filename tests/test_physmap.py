@@ -61,9 +61,15 @@ class TestEdgeCorrelation:
 class TestEdgeDecorrelation:
     @pytest.mark.parametrize("x", [1e-150, 1e-100, 1e-10, 1e-6, 0.3, 1.0, 2.0, 2.5, 10.0])
     def test_matches_high_precision(self, x):
-        # 1 - x K1(x) ~ x^2 ln(1/x) needs 2 log10(1/x) digits beyond the 40
-        with mp.workdps(40 + 2 * max(0, -math.floor(math.log10(x)))):
-            ref = float(1 - mp.mpf(x) * mp.besselk(1, mp.mpf(x)))
+        # 1 - x K1(x) ~ x^2 ln(1/x) needs 2 log10(1/x) digits beyond the 40;
+        # for x <= 1e-20 the closed form (x^2/4)(1 - 2 gamma - 2 ln(x/2)),
+        # whose relative error is O(x^2), gives it without them
+        if x <= 1e-20:
+            with mp.workdps(40):
+                ref = float(mp.mpf(x) ** 2 / 4 * (1 - 2 * mp.euler - 2 * mp.log(mp.mpf(x) / 2)))
+        else:
+            with mp.workdps(40 + 2 * max(0, -math.floor(math.log10(x)))):
+                ref = float(1 - mp.mpf(x) * mp.besselk(1, mp.mpf(x)))
         assert edge_decorrelation(PhysicalField(alpha=1.0, spacing=x)) == pytest.approx(
             ref, rel=2e-15, abs=0.0)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -128,6 +129,16 @@ class TestSfcarRates:
         assert (res.kli_rate, res.mi_rate, res.converged) == (0.0, 0.0, True)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(rows, n) of every SFCAR kernel call, in order."""
+    calls = []
+    kernel = _kernels_py.sfcar_grid_sums
+    monkeypatch.setattr(_kernels_py, "sfcar_grid_sums",
+                        lambda c, delta, n: calls.append((len(c), n)) or kernel(c, delta, n))
+    return calls
+
+
 class TestBatchedRows:
     SPEC = QuadratureSpec(points_per_axis=64, relative_tolerance=1e-9, max_points_per_axis=512)
     #: Rows converging at 128 and at 512 nodes, two whose SNR/scale is 0
@@ -160,14 +171,27 @@ class TestBatchedRows:
         assert sfcar_rates_at_spacing(field, 10.0, self.SPEC) == sfcar_rates_batch(
             [sfcar_row_at_spacing(field, 10.0)], self.SPEC)[0]
 
-    def test_each_round_integrates_only_the_unconverged_rows(self, monkeypatch):
-        calls = []
-        kernel = _kernels_py.sfcar_grid_sums
-        monkeypatch.setattr(_kernels_py, "sfcar_grid_sums",
-                            lambda c, delta, n: calls.append((len(c), n)) or kernel(c, delta, n))
+    def test_each_round_integrates_only_the_unconverged_rows(self, kernel_calls):
         sfcar_rates_batch(self.ROWS, self.SPEC)
-        # the two zero rows never reach the kernel; the zeta = 0 row stops at 128
-        assert calls == [(5, 64), (5, 128), (4, 256), (4, 512)]
+        # the two zero rows never reach the kernel; the first call, at 128
+        # nodes, compares 64 against 128 by the embedded rule, and the
+        # zeta = 0 row stops there
+        assert kernel_calls == [(5, 128), (4, 256), (4, 512)]
+
+    def test_one_kernel_call_for_a_converging_query(self, kernel_calls):
+        # the first call carries its own error estimate: a query that
+        # converges at 512 nodes makes one call, not one at 256 and one at 512
+        res = sfcar_rates(0.1, 10.0)
+        assert (res.quadrature_points, res.converged) == (512, True)
+        assert kernel_calls == [(1, 512)]
+
+    def test_budget_below_one_pair_gives_one_plain_estimate(self, kernel_calls):
+        # max_points_per_axis < 2 points_per_axis leaves no embedded pair to
+        # compare: one call at points_per_axis, flagged unconverged
+        res = sfcar_rates(0.0, 10.0, QuadratureSpec(256, 1e-9, 511))
+        assert kernel_calls == [(1, 256)]
+        assert (res.quadrature_points, res.converged) == (256, False)
+        assert res.mi_rate == pytest.approx(0.5 * math.log1p(10.0), rel=1e-15)
 
     def test_overflowing_row_refused_before_any_row_is_integrated(self, monkeypatch):
         monkeypatch.setattr(_kernels_py, "sfcar_grid_sums", None)
@@ -245,14 +269,28 @@ def _mp_rates_at_zeta(zeta, snr):
 
 
 def _mp_rates_at_spacing(x, snr):
+    delta, g = _mp_delta_scale(x)
+    with mp.workdps(MP_DPS):
+        return _mp_rates(delta, mp.mpf(snr) / g)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_delta_scale(x):
+    # (delta, g) at alpha*d = x, mpmath numbers, for every SNR at that x.
     # rho = x K1(x); solve rho = (g - 1)/((1 - delta) g), g = (2/pi) K(1 - delta),
     # for delta = 1 - 4 zeta by plain bisection in log(delta), independent of
     # the library's Illinois solve, unless delta is below 1e-30, where
     # g = 1/(1 - rho) to far below double precision.
-    # 1 - rho ~ x^2 ln(1/x) is formed with 2 log10(1/x) extra digits.
-    with mp.workdps(MP_DPS + 2 * max(0, -math.floor(math.log10(x)))):
-        xm = mp.mpf(x)
-        one_minus_rho = 1 - xm * mp.besselk(1, xm)
+    # 1 - rho ~ x^2 ln(1/x) is formed with 2 log10(1/x) extra digits, or for
+    # x <= 1e-20 from (x^2/4)(1 - 2 gamma - 2 ln(x/2)), within O(x^2) relative.
+    if x <= 1e-20:
+        with mp.workdps(MP_DPS):
+            xm = mp.mpf(x)
+            one_minus_rho = xm ** 2 / 4 * (1 - 2 * mp.euler - 2 * mp.log(xm / 2))
+    else:
+        with mp.workdps(MP_DPS + 2 * max(0, -math.floor(math.log10(x)))):
+            xm = mp.mpf(x)
+            one_minus_rho = 1 - xm * mp.besselk(1, xm)
     with mp.workdps(MP_DPS):
         rho = 1 - one_minus_rho
         g = 1 / one_minus_rho
@@ -272,7 +310,7 @@ def _mp_rates_at_spacing(x, snr):
                     hi = mid
             delta = mp.exp((lo + hi) / 2)
             g = rho_of((lo + hi) / 2)[1]
-        return _mp_rates(delta, mp.mpf(snr) / g)
+        return delta, g
 
 
 ZETA_GRID = (0.0, 0.1, 0.24, 0.2499, 0.25 * (1 - 1e-8), float(np.nextafter(0.25, 0.0)))
