@@ -7,8 +7,8 @@ reduced by itself.  ``_weighted_grid_sums`` is the
 one weighted 2-D sum of the (KLI, MI) integrands, in cache-sized row blocks:
 ``car_grid_sums`` feeds it a general CAR symbol from ``car_symbol`` on half
 a midpoint grid, ``oracle.finite_lattice_rates`` the exact finite-lattice
-eigenvalues.  Both rate kernels return, beside their n-node means, the
-means of the n/2-node rule embedded in their nodes, from the same
+eigenvalues.  ``sfcar_grid_sums`` also returns, beside its n-node means,
+the means of the n/2-node rule embedded in its nodes, from the same
 integrand values: the error estimate the doubling quadrature compares,
 so a round takes one call at the node count two calls reached before.
 Every reduction runs in a fixed order, so repeated calls are bit-identical.
@@ -52,21 +52,16 @@ def _node_steps(n: int) -> np.ndarray:
     return k
 
 
-def _embedded(n: int) -> slice:
-    # every other node of an n-node rule, counted from the last: for even n
-    # the odd-indexed nodes, the n/2-node rule of twice the step
-    return slice((n - 1) % 2, None, 2)
-
-
 def _tanh_rule(n: int, stop, step):
     """sin^2(w1/2) at the n nodes of the tanh rule on (0, pi), shape (m, n),
     and the weights of shape (m, 2, n) of the rule and of its embedded rule
-    on the nodes ``_embedded(n)`` (0 on the others), each normalized to sum
-    to 1: a row per row of the columns ``stop`` and ``step`` (shape (m, 1),
-    or floats for m = 1).  A rule has its nodes at x = _X_TOP + (j + 1) step,
-    j = 0..n-1, the last one at ``stop``; for even n its odd-indexed nodes
-    are the n/2-node rule of twice the step down to the same ``stop``, so
-    one set of integrand values gives both estimates.
+    on the odd-indexed nodes (0 on the others), each normalized to sum to 1:
+    a row per row of the columns ``stop`` and ``step`` (shape (m, 1), or
+    floats for m = 1).  A rule has its nodes at x = _X_TOP + (j + 1) step,
+    j = 0..n-1, the last one at ``stop``; for even n, the only counts the
+    doubling quadrature compares, its odd-indexed nodes are the n/2-node
+    rule of twice the step down to the same ``stop``, so one set of
+    integrand values gives both estimates.
 
     Writing tan(w1/2) = exp(x) gives sin^2(w1/2) = 1/(1 + exp(-2x)) and
     dw1 = sech(x) dx; the integrand is analytic in the strip
@@ -85,9 +80,9 @@ def _tanh_rule(n: int, stop, step):
     e = ex * ex  # underflows harmlessly to sin^2 = 0 deep in the tail
     one_plus_e = 1.0 + e
     weights = np.zeros((x.shape[0], 2, n))
-    fine, half = weights[:, 0], weights[:, 1, _embedded(n)]
+    fine, half = weights[:, 0], weights[:, 1, 1::2]
     np.divide(ex, one_plus_e, out=fine)  # sech(x) / 2
-    half[...] = fine[:, _embedded(n)]
+    half[...] = fine[:, 1::2]
     half /= half.sum(axis=1, keepdims=True)
     fine /= fine.sum(axis=1, keepdims=True)
     return e / one_plus_e, weights
@@ -133,8 +128,8 @@ def sfcar_grid_sums(c, delta, n: int):
     row is reduced by itself, so a row's results do not depend on the other
     rows or on their place among them.  Returns (kli_means, mi_means,
     kli_half_means, mi_half_means), arrays with one entry per row, or four
-    floats if c and delta are both scalars.  For odd n the embedded rule
-    takes the (n + 1)/2 nodes an even number of steps from the deepest one.
+    floats if c and delta are both scalars.  The half means are those of
+    the n/2-node rule for even n only.
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
@@ -207,46 +202,29 @@ def _integrands(s):
     return mi - 0.5 * (s / (1.0 + s)), mi
 
 
-def _weighted_grid_sums(row_w: np.ndarray, col_w: np.ndarray, block_snr,
-                        even_cells: bool = False):
+def _weighted_grid_sums(row_w: np.ndarray, col_w: np.ndarray, block_snr):
     """Sums over k, l of row_w[k] col_w[l] (kli, mi)(s_kl), with s on the
     rows ``rows`` (a slice) by every column from ``block_snr(rows)``, in
-    blocks of at most _BLOCK_ELEMS cells or one row.  With ``even_cells``,
-    also the same sums over the cells with k + l even, (kli, mi, kli_even,
-    mi_even): one more mat-vec per integrand and block, over the even
-    columns; a row's odd columns are the rest of its full sum."""
+    blocks of at most _BLOCK_ELEMS cells or one row."""
     step = max(1, _BLOCK_ELEMS // col_w.size)
-    col_even = col_w * (np.arange(col_w.size) % 2 == 0)
-    sums = [0.0] * (4 if even_cells else 2)
+    kli = mi = 0.0
     for lo in range(0, row_w.size, step):
         rows = slice(lo, min(lo + step, row_w.size))
         r = row_w[rows]
-        odd_rows = slice((lo + 1) % 2, None, 2)  # the rows of odd k, which meet the odd columns
-        for j, block in enumerate(_integrands(block_snr(rows))):
-            per_row = block @ col_w
-            sums[j] += float(r @ per_row)
-            if even_cells:
-                even = block @ col_even
-                even[odd_rows] = per_row[odd_rows] - even[odd_rows]
-                sums[2 + j] += float(r @ even)
-    return tuple(sums)
+        kli_block, mi_block = _integrands(block_snr(rows))
+        kli += float(r @ (kli_block @ col_w))
+        mi += float(r @ (mi_block @ col_w))
+    return kli, mi
 
 
 def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: float, n: int):
     """Midpoint-grid means for den(w) = sum_t theta[t]*cos(oi[t]*w1 + oj[t]*w2),
-    s = 1/(sigma2*den), with their error estimate from the embedded grid.
-    Returns (kli_mean, mi_mean, kli_half_mean, mi_half_mean, min_den).
+    s = 1/(sigma2*den).  Returns (kli_mean, mi_mean, min_den).
 
     The taps must be symmetric, as ``CarCoefficients`` stores them: then
     den(-w) = den(w), and -w_k = w_{n-1-k} on the midpoint grid, so rows
     k < n//2 are summed once with weight 2, odd n adds its middle row
     once, and min_den comes from the same half grid.
-
-    The half means average the same values over the cells (k, l) with
-    k + l even.  For even n these are the (even, even) cells, which form
-    the n/2-point grid at offset 1/4, -pi + 2 pi (j + 1/4)/(n/2), and the
-    (odd, odd) cells, its mirror image under w -> -w: so the half means
-    are that grid's means, with no symbol or integrand evaluated again.
     """
     if n < 1:
         raise ValueError("grid side must be >= 1")
@@ -267,7 +245,6 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
         return 1.0 / (sigma2 * den)
 
     fold = np.where(np.arange((n + 1) // 2) < n // 2, 2.0, 1.0)
-    kli, mi, kli_even, mi_even = _weighted_grid_sums(fold, np.ones(n), snr, even_cells=True)
+    kli, mi = _weighted_grid_sums(fold, np.ones(n), snr)
     norm = float(n) * float(n)
-    even_norm = float((n * n + 1) // 2)  # the cells with k + l even
-    return kli / norm, mi / norm, kli_even / even_norm, mi_even / even_norm, min(lows)
+    return kli / norm, mi / norm, min(lows)

@@ -38,10 +38,15 @@ row keeps its own node count and convergence flag, and its result is the
 same bits alone or in any batch.
 
 The general-CAR route through f and sigma^2 is kept as an independent
-implementation for cross-validation: a doubling 2-D midpoint rule, whose
-call at side n gives the embedded n/2 grid at offset 1/4 as its pair.
+implementation for cross-validation: a doubling 2-D midpoint rule that
+compares successive grids, side n/2 against side n.  The midpoint grid
+embeds no coarser rule that measures its error (the cells of an n/2 grid
+at offset 1/4 alias the same modes as the full grid wherever the symbol
+is even in w2), so its first round takes a call at ``points_per_axis``
+as well.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -102,9 +107,9 @@ def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec,
                     zero_floor: float) -> List[RateResult]:
     # the doubling quadrature of m rows at once: eval_sums(n, live) gives the
     # (kli, mi, kli_half, mi_half) estimates of the rows whose indices are in
-    # live, at n nodes and by the rule's embedded n/2-node rule; a row whose
-    # pair agrees has converged, and each round doubles n for the rest, from
-    # 2 points_per_axis, so the first pair is points_per_axis against twice that
+    # live, at n nodes and at n/2 nodes; a row whose pair agrees has
+    # converged, and each round doubles n for the rest, from 2 points_per_axis,
+    # so the first pair is points_per_axis against twice that
     n = 2 * spec.points_per_axis
     if n > spec.max_points_per_axis:  # no pair fits the budget: one plain estimate
         n = spec.points_per_axis
@@ -233,12 +238,20 @@ def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
     """
     oi, oj, vals = coeffs.tap_arrays()
 
-    def sums(n: int, _live):
-        *means, min_den = _kernels_py.car_grid_sums(vals, oi, oj, noise.sigma2, n)
+    @functools.lru_cache(maxsize=None)
+    def means(n: int):
+        kli, mi, min_den = _kernels_py.car_grid_sums(vals, oi, oj, noise.sigma2, n)
         if min_den <= 0.0:
             raise ValueError(
                 f"precision symbol non-positive on integration grid (min {min_den:.3g})"
             )
-        return [[v] for v in means]
+        return kli, mi
+
+    def sums(n: int, _live):
+        # the pair of side n is the previous round's grid, side n/2: one extra
+        # call at points_per_axis on the first round (none for a plain estimate)
+        kli, mi = means(n)
+        kli_half, mi_half = means(n // 2) if n > spec.points_per_axis else (kli, mi)
+        return [kli], [mi], [kli_half], [mi_half]
 
     return _doubling_rates(sums, 1, spec, _CAR_ZERO_FLOOR)[0]

@@ -40,12 +40,13 @@ class QuadratureSpec:
     and the side of the 2-D midpoint grid of the general-CAR rates.  The
     count doubles until two successive estimates agree to
     relative_tolerance or it would exceed max_points_per_axis.  Each
-    kernel call at n points also returns the estimate of the n/2-point
-    rule embedded in it, so the first call is at 2 points_per_axis and
-    compares points_per_axis against twice that, and every pair after it
-    is one call, with the node counts that successive calls reached; where
-    max_points_per_axis < 2 points_per_axis, one call at points_per_axis
-    gives an estimate flagged unconverged.
+    SFCAR kernel call at n points also returns the estimate of the
+    n/2-point rule embedded in it, so its first call is at 2
+    points_per_axis and compares points_per_axis against twice that, and
+    every pair after it is one call, with the node counts that successive
+    calls reached.  The general-CAR grid embeds no such rule and compares
+    successive calls.  Where max_points_per_axis < 2 points_per_axis, one
+    call at points_per_axis gives an estimate flagged unconverged.
     """
 
     points_per_axis: int = 256

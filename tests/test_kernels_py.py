@@ -33,24 +33,12 @@ def direct_symbol(theta, oi, oj, w1, w2):
 
 
 def direct_grid_sums(theta, oi, oj, sigma2, n):
-    """(kli_mean, mi_mean, kli_half_mean, mi_half_mean, min_den) over every
-    cell of the n x n midpoint grid; the half means over every cell of the
-    n/2-point grid at offset 1/4 for even n, over the cells (k, l) of the
-    n-point grid with k + l even for odd n."""
-    def means(w, cells=Ellipsis):
-        den = direct_symbol(theta, oi, oj, w, w)
-        s = 1.0 / (sigma2 * den[cells])
-        halflog = 0.5 * np.log1p(s)
-        return np.mean(halflog - 0.5 * s / (1.0 + s)), np.mean(halflog), den.min()
-
-    kli, mi, min_den = means(midpoint_grid(n))
-    if n % 2 == 0:
-        m = n // 2
-        half = means(-np.pi + 2.0 * np.pi * (np.arange(m) + 0.25) / m)
-    else:
-        k = np.arange(n)
-        half = means(midpoint_grid(n), (k[:, None] + k[None, :]) % 2 == 0)
-    return kli, mi, half[0], half[1], min_den
+    """(kli_mean, mi_mean, min_den) over every cell of the n x n midpoint grid."""
+    w = midpoint_grid(n)
+    den = direct_symbol(theta, oi, oj, w, w)
+    s = 1.0 / (sigma2 * den)
+    halflog = 0.5 * np.log1p(s)
+    return np.mean(halflog - 0.5 * s / (1.0 + s)), np.mean(halflog), den.min()
 
 
 def test_python_kernel_deterministic():
@@ -139,22 +127,9 @@ def test_folded_grid_matches_full_grid(seed, n):
     theta, oi, oj = positive_symmetric_taps(np.random.default_rng(seed))
     got = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
     want = direct_grid_sums(theta, oi, oj, 0.5, n)
-    assert len(got) == 5
     assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0)
     assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0)
-    assert got[4] == pytest.approx(want[4], rel=1e-14, abs=0)
-
-
-@pytest.mark.parametrize("n", [8, 9, 256, 301, 302])
-@pytest.mark.parametrize("seed", range(4))
-def test_car_half_means_are_the_embedded_grid(seed, n):
-    # from the folded half grid, against the offset-1/4 grid of side n/2
-    # (the k + l even cells for odd n) summed cell by cell
-    theta, oi, oj = positive_symmetric_taps(np.random.default_rng(seed))
-    got = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
-    want = direct_grid_sums(theta, oi, oj, 0.5, n)
     assert got[2] == pytest.approx(want[2], rel=1e-14, abs=0)
-    assert got[3] == pytest.approx(want[3], rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("seed", range(8))

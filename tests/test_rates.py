@@ -402,6 +402,34 @@ class TestGeneralCarCrossValidation:
         assert res_car.kli_rate == pytest.approx(res_sep.kli_rate, abs=1e-10)
         assert res_car.mi_rate == pytest.approx(res_sep.mi_rate, abs=1e-10)
 
+    @pytest.mark.parametrize("zeta", [0.1, 0.2])
+    def test_converged_rate_matches_separated_form(self, zeta):
+        noise = NoiseModel(sigma2=1.0)
+        res_car = kli_rate_car(sfcar_from_snr(10.0, zeta, noise).taps(), noise)
+        res_sep = sfcar_rates(zeta, 10.0)
+        assert res_car.converged
+        assert res_car.kli_rate == pytest.approx(res_sep.kli_rate, rel=1e-9, abs=0)
+        assert res_car.mi_rate == pytest.approx(res_sep.mi_rate, rel=1e-9, abs=0)
+
+    def test_unresolved_peak_is_flagged(self):
+        # near zeta = 1/4 the 8- and 16-point grids are far from the rate;
+        # grids compared against their own offset-1/4 half would agree there
+        noise = NoiseModel(sigma2=1.0)
+        res = kli_rate_car(sfcar_from_snr(10.0, 0.2499, noise).taps(), noise,
+                           QuadratureSpec(8, 1e-9, 16))
+        assert (res.quadrature_points, res.converged) == (16, False)
+
+    def test_each_grid_side_is_integrated_once(self, monkeypatch):
+        sides = []
+        kernel = _kernels_py.car_grid_sums
+        monkeypatch.setattr(_kernels_py, "car_grid_sums",
+                            lambda *args: sides.append(args[-1]) or kernel(*args))
+        noise = NoiseModel(sigma2=1.0)
+        res = kli_rate_car(sfcar_from_snr(10.0, 0.2499, noise).taps(), noise,
+                           QuadratureSpec(8, 1e-9, 64))
+        assert sorted(sides) == [8, 16, 32, 64]
+        assert (res.quadrature_points, res.converged) == (64, False)
+
     def test_kli_below_mi(self):
         res = kli_rate_car(CarCoefficients({(0, 0): 0.5, (1, 1): -0.1, (-1, -1): -0.1}),
                            NoiseModel(0.5))
