@@ -3,14 +3,14 @@
 ``sfcar_grid_sums`` averages the symmetric first-order integrands over w1
 alone, the w2 integral being closed-form, for many rows of (SNR/scale,
 1 - 4 zeta) at once: in blocks of rows of at most 6144 cells, each row
-reduced by itself.  ``_weighted_grid_sums`` is the
-one weighted 2-D sum of the (KLI, MI) integrands, in cache-sized row blocks:
-``car_grid_sums`` feeds it a general CAR symbol from ``car_symbol`` on half
-a midpoint grid, ``oracle.finite_lattice_rates`` the exact finite-lattice
-eigenvalues.  ``sfcar_grid_sums`` also returns, beside its n-node means,
-the means of the n/2-node rule embedded in its nodes, from the same
-integrand values: the error estimate the doubling quadrature compares,
-so a round takes one call at the node count two calls reached before.
+reduced by itself.  ``_weighted_grid_sums`` is the one weighted 2-D sum
+of the (KLI, MI) integrands, in cache-sized row blocks, under one or more
+row and column weightings: ``car_grid_sums`` feeds it a general CAR
+symbol from ``car_symbol`` on the torus grid w = 2 pi k/n,
+``oracle.finite_lattice_rates`` the exact finite-lattice eigenvalues.
+Both rate kernels return, beside their n-node means, the means of the
+n/2-node rule embedded in their nodes, from the same integrand values:
+the error estimate the doubling quadrature compares, one call a round.
 Every reduction runs in a fixed order, so repeated calls are bit-identical.
 """
 
@@ -18,8 +18,6 @@ import functools
 import math
 
 import numpy as np
-
-from .specfun import midpoint_grid
 
 # Rows per block are chosen so a block never exceeds 32K doubles: each of its
 # ~6 temporaries (256 KB) stays in a core's L2 cache, where 2^18 ran 3x slower.
@@ -202,49 +200,76 @@ def _integrands(s):
     return mi - 0.5 * (s / (1.0 + s)), mi
 
 
-def _weighted_grid_sums(row_w: np.ndarray, col_w: np.ndarray, block_snr):
-    """Sums over k, l of row_w[k] col_w[l] (kli, mi)(s_kl), with s on the
-    rows ``rows`` (a slice) by every column from ``block_snr(rows)``, in
-    blocks of at most _BLOCK_ELEMS cells or one row."""
-    step = max(1, _BLOCK_ELEMS // col_w.size)
-    kli = mi = 0.0
-    for lo in range(0, row_w.size, step):
-        rows = slice(lo, min(lo + step, row_w.size))
-        r = row_w[rows]
-        kli_block, mi_block = _integrands(block_snr(rows))
-        kli += float(r @ (kli_block @ col_w))
-        mi += float(r @ (mi_block @ col_w))
-    return kli, mi
+def torus_grid(n: int) -> np.ndarray:
+    """Torus frequencies 2 pi k/n, k = 0..n-1; even k give the n/2 grid's bits."""
+    return 2.0 * np.pi * np.arange(n) / n
+
+
+def _mirror_weights(n: int) -> np.ndarray:
+    """How many torus frequencies k = 0..n-1 share the cosine of each
+    k = 0..n//2: k and n - k do, except k = 0 and, for even n, k = n/2."""
+    k = np.arange(n // 2 + 1)
+    return np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+
+
+def _weighted_grid_sums(row_ws, col_ws, block_snr):
+    """Sums over k, l of r[k] c[l] (kli, mi)(s_kl), a (kli, mi) pair for
+    each rule (r, c) of the row weights ``row_ws`` and the column weights
+    ``col_ws``, with s on the rows ``rows`` (a slice) by every column from
+    ``block_snr(rows)``, in blocks of at most _BLOCK_ELEMS cells or one
+    row.  Each rule is reduced by its own dot products, so a rule's sums
+    do not depend on the others."""
+    n_rows, n_cols = row_ws[0].size, col_ws[0].size
+    step = max(1, _BLOCK_ELEMS // n_cols)
+    sums = np.zeros((len(row_ws), 2))
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, min(lo + step, n_rows))
+        blocks = _integrands(block_snr(rows))
+        for rule, (row_w, col_w) in enumerate(zip(row_ws, col_ws)):
+            r = row_w[rows]
+            for j, block in enumerate(blocks):
+                sums[rule, j] += float(r @ (block @ col_w))
+    return sums.tolist()
 
 
 def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: float, n: int):
-    """Midpoint-grid means for den(w) = sum_t theta[t]*cos(oi[t]*w1 + oj[t]*w2),
-    s = 1/(sigma2*den).  Returns (kli_mean, mi_mean, min_den).
+    """Torus-grid means of (kli, mi)(s) for den(w) = sum_t theta[t]*cos(oi[t]*w1 + oj[t]*w2),
+    s = 1/(sigma2*den), w on the n x n grid of ``torus_grid``, together with
+    the means on its embedded n/2 grid: the even-indexed rows and columns
+    of the same integrand values, the error estimate of the n-grid means.
+    Returns (kli_mean, mi_mean, kli_half_mean, mi_half_mean, min_den); the
+    half means are those of the n/2 grid for even n only.
 
-    The taps must be symmetric, as ``CarCoefficients`` stores them: then
-    den(-w) = den(w), and -w_k = w_{n-1-k} on the midpoint grid, so rows
-    k < n//2 are summed once with weight 2, odd n adds its middle row
-    once, and min_den comes from the same half grid.
+    The periodic trapezoid rule on the n grid integrates exactly the modes
+    the n/2 grid aliases, (n/2) j for odd j, so the pair measures a real
+    error (Trefethen & Weideman, SIAM Rev. 56, 2014).  The taps must be
+    symmetric, as ``CarCoefficients`` stores them: then den(-w) = den(w),
+    and row n - k holds the values of row k, so rows k = 0..n//2 are summed
+    with the weights of ``_mirror_weights``, and min_den comes from the same
+    rows.  Where the symbol is not positive, s = 0 leaves the cell out.
     """
-    if n < 1:
-        raise ValueError("grid side must be >= 1")
+    if n < 2:
+        raise ValueError("grid side must be >= 2")
     theta = np.asarray(theta, dtype=np.float64)
-    oi = np.asarray(oi)
-    oj = np.asarray(oj)
+    oi, oj = np.asarray(oi), np.asarray(oj)
     if oi.shape != theta.shape or oj.shape != theta.shape:
         raise ValueError("tap arrays must have equal length")
-    w = midpoint_grid(n)
+    w = torus_grid(n)
     lows = []
 
     def snr(rows):
         den = car_symbol(theta, oi, oj, w[rows], w)
         lows.append(float(den.min()))
         if lows[-1] <= 0.0:
-            # s = 0 leaves the cells where the symbol is not positive out of the sums
             den = np.where(den > 0.0, den, np.inf)
         return 1.0 / (sigma2 * den)
 
-    fold = np.where(np.arange((n + 1) // 2) < n // 2, 2.0, 1.0)
-    kli, mi = _weighted_grid_sums(fold, np.ones(n), snr)
-    norm = float(n) * float(n)
-    return kli / norm, mi / norm, min(lows)
+    half = n // 2
+    row_half = np.zeros(half + 1)
+    row_half[::2] = _mirror_weights(half)
+    col_half = np.zeros(n)
+    col_half[:2 * half:2] = 1.0
+    (kli, mi), (kli_half, mi_half) = _weighted_grid_sums(
+        (_mirror_weights(n), row_half), (np.ones(n), col_half), snr)
+    norm, norm_half = float(n) * float(n), float(half) * float(half)
+    return kli / norm, mi / norm, kli_half / norm_half, mi_half / norm_half, min(lows)

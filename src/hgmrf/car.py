@@ -19,8 +19,8 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from ._kernels_py import car_symbol
-from .specfun import elliptic_k, midpoint_grid
+from ._kernels_py import car_symbol, torus_grid
+from .specfun import elliptic_k
 
 Offset = Tuple[int, int]
 
@@ -45,8 +45,8 @@ class CarCoefficients:
     The constructor canonicalizes the map so that both (i, j) and (-i, -j)
     are stored and checked equal, requires theta_00 > 0, and (unless
     ``validate=False``) verifies spectrum positivity numerically on a
-    256x256 midpoint grid -- there is no closed-form positivity test for
-    arbitrary tap sets.
+    256x256 torus grid, which holds w = 0 and pi -- there is no closed-form
+    positivity test for arbitrary tap sets.
     """
 
     def __init__(self, theta: Mapping[Offset, float], validate: bool = True):
@@ -68,9 +68,9 @@ class CarCoefficients:
         self._oj = offs[:, 1].copy()
         self._vals = np.array(list(self._theta.values()), dtype=np.float64)
         if validate:
-            # the symbol is even in w, so rows k and 255 - k hold the same values
-            w = midpoint_grid(_VALIDATION_GRID)
-            den = car_symbol(self._vals, self._oi, self._oj, w[: _VALIDATION_GRID // 2], w)
+            # the symbol is even in w, so rows k and 256 - k hold the same values
+            w = torus_grid(_VALIDATION_GRID)
+            den = car_symbol(self._vals, self._oi, self._oj, w[: _VALIDATION_GRID // 2 + 1], w)
             if not np.all(den > 0.0):
                 raise ValueError(
                     "invalid autoregression: precision symbol is not positive "

@@ -195,8 +195,9 @@ def _resolve_quadrature(args) -> QuadratureSpec:
     return QuadratureSpec(
         points_per_axis=int(points) if points is not None else base.points_per_axis,
         relative_tolerance=float(rtol) if rtol is not None else base.relative_tolerance,
+        # a budget derived from --quad-points holds the first pair of rules
         max_points_per_axis=int(maxp) if maxp is not None else max(
-            base.max_points_per_axis, int(points) if points is not None else 0
+            base.max_points_per_axis, 2 * int(points) if points is not None else 0
         ),
     )
 
@@ -383,6 +384,8 @@ def _cmd_experiment(args) -> int:
     values = None
     if args.values is not None:
         values = [float(v) for v in args.values.split(",") if v.strip()]
+        if not values:
+            raise ValueError("--values lists no value")
     # grid sides: integral values as ints, any other left for the library to refuse
     ns = [int(v) if v.is_integer() else v for v in values] if values else _default_n_sweep()
     if args.name == "area":

@@ -12,7 +12,8 @@ truncated at the edge, T the path adjacency, diagonalised by the DST-I;
 Strang, "The Discrete Cosine Transform", SIAM Rev. 41, 1999).  Per-node KLI
 and MI at finite n are exact sums of the spectral integrands over q_kl --
 on the torus a rectangle rule whose n -> infinity limit is the spectral
-integral -- taken by the kernels' one weighted 2-D block sum.  A Monte
+integral on the grid of ``_kernels_py.car_grid_sums`` -- taken by the
+kernels' one weighted 2-D block sum.  A Monte
 Carlo log-likelihood-ratio simulation under the noise-only hypothesis
 verifies the almost-sure limit the KLI rate is defined by.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import _weighted_grid_sums
+from ._kernels_py import _mirror_weights, _weighted_grid_sums, torus_grid
 from .car import NoiseModel, SfcarParams
 from .rates import RateResult
 
@@ -70,14 +71,7 @@ def _cosines(n: int, boundary: str) -> np.ndarray:
     free boundaries."""
     if boundary == "free":
         return np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-    return np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def _mirror_weights(n: int) -> np.ndarray:
-    # how many torus frequencies k = 0..n-1 share the cosine of each
-    # k = 0..n//2: k and n - k do, except k = 0 and, for even n, k = n/2
-    k = np.arange(n // 2 + 1)
-    return np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    return np.cos(torus_grid(n))
 
 
 def torus_eigenvalues(params: SfcarParams, n: int) -> np.ndarray:
@@ -124,8 +118,8 @@ def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
     c = c[: mult.size]
     # in row blocks, whose temporaries stay small: n^2-sized ones would
     # raise the peak memory of the process
-    kli, mi = _weighted_grid_sums(mult, mult,
-                                  lambda rows: _bin_snrs(params, noise, c[rows], c))
+    [(kli, mi)] = _weighted_grid_sums((mult,), (mult,),
+                                      lambda rows: _bin_snrs(params, noise, c[rows], c))
     return RateResult(kli / (n * n), mi / (n * n), n, True)
 
 

@@ -38,15 +38,13 @@ row keeps its own node count and convergence flag, and its result is the
 same bits alone or in any batch.
 
 The general-CAR route through f and sigma^2 is kept as an independent
-implementation for cross-validation: a doubling 2-D midpoint rule that
-compares successive grids, side n/2 against side n.  The midpoint grid
-embeds no coarser rule that measures its error (the cells of an n/2 grid
-at offset 1/4 alias the same modes as the full grid wherever the symbol
-is even in w2), so its first round takes a call at ``points_per_axis``
-as well.
+implementation for cross-validation: the periodic trapezoid rule on the
+n x n torus grid w = 2 pi k/n, the grid of the finite-lattice torus
+oracle, whose even-indexed nodes are the n/2 grid.  Each kernel call
+returns both grids' means from the same integrand values, so both rate
+paths share one doubling scheme, one kernel call per round.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -96,7 +94,7 @@ def kli_integrand(s):
 
 #: Estimates whose magnitude and change are both at most the floor count as
 #: converged zeros (a relative test is meaningless at roundoff scale).  The
-#: 2-D midpoint sums of the general-CAR rates carry roundoff far above the
+#: 2-D torus-grid sums of the general-CAR rates carry roundoff far above the
 #: smallest doubles; the SFCAR kernel keeps full relative precision down to
 #: the bottom of the normal range.
 _CAR_ZERO_FLOOR = 1e-12
@@ -109,12 +107,9 @@ def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec,
     # (kli, mi, kli_half, mi_half) estimates of the rows whose indices are in
     # live, at n nodes and at n/2 nodes; a row whose pair agrees has
     # converged, and each round doubles n for the rest, from 2 points_per_axis,
-    # so the first pair is points_per_axis against twice that
+    # so the first pair is points_per_axis against twice that, which
+    # QuadratureSpec keeps within the budget
     n = 2 * spec.points_per_axis
-    if n > spec.max_points_per_axis:  # no pair fits the budget: one plain estimate
-        n = spec.points_per_axis
-        kli, mi = eval_sums(n, range(m))[:2]
-        return [RateResult(k, v, n, False) for k, v in zip(kli, mi)]
     results: List[Optional[RateResult]] = [None] * m
     live = list(range(m))
     while live:
@@ -238,20 +233,12 @@ def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
     """
     oi, oj, vals = coeffs.tap_arrays()
 
-    @functools.lru_cache(maxsize=None)
-    def means(n: int):
-        kli, mi, min_den = _kernels_py.car_grid_sums(vals, oi, oj, noise.sigma2, n)
+    def sums(n: int, _live):
+        *means, min_den = _kernels_py.car_grid_sums(vals, oi, oj, noise.sigma2, n)
         if min_den <= 0.0:
             raise ValueError(
                 f"precision symbol non-positive on integration grid (min {min_den:.3g})"
             )
-        return kli, mi
-
-    def sums(n: int, _live):
-        # the pair of side n is the previous round's grid, side n/2: one extra
-        # call at points_per_axis on the first round (none for a plain estimate)
-        kli, mi = means(n)
-        kli_half, mi_half = means(n // 2) if n > spec.points_per_axis else (kli, mi)
-        return [kli], [mi], [kli_half], [mi_half]
+        return [[v] for v in means]
 
     return _doubling_rates(sums, 1, spec, _CAR_ZERO_FLOOR)[0]

@@ -1,10 +1,10 @@
-"""Special functions and periodic quadrature.
+"""Special functions and the budget of the rate quadrature.
 
 Exactly the primitives the rate formulas need: the arithmetic-geometric
 mean with its complement, the complete elliptic integral of the first kind K(k) in the modulus
 convention (K(0) = pi/2, K(k) -> inf as k -> 1), the modified Bessel
-function K_1 and 1 - x K_1(x) without cancellation, the midpoint grid on
-(-pi, pi] and the convergence test of the doubling quadrature.
+function K_1 and 1 - x K_1(x) without cancellation, and the budget and
+convergence test of the doubling quadrature.
 All arithmetic is 64-bit binary floating point.
 """
 
@@ -36,17 +36,14 @@ class QuadratureSpec:
     """Budget for the doubling quadrature of the rates.
 
     points_per_axis is the starting node count per integration axis: of
-    the one-axis (w1) tanh rule of the symmetric first-order rates,
-    and the side of the 2-D midpoint grid of the general-CAR rates.  The
-    count doubles until two successive estimates agree to
-    relative_tolerance or it would exceed max_points_per_axis.  Each
-    SFCAR kernel call at n points also returns the estimate of the
-    n/2-point rule embedded in it, so its first call is at 2
-    points_per_axis and compares points_per_axis against twice that, and
-    every pair after it is one call, with the node counts that successive
-    calls reached.  The general-CAR grid embeds no such rule and compares
-    successive calls.  Where max_points_per_axis < 2 points_per_axis, one
-    call at points_per_axis gives an estimate flagged unconverged.
+    the one-axis (w1) tanh rule of the symmetric first-order rates, and
+    the side of the 2-D torus grid of the general-CAR rates.  Each kernel
+    call at n points also returns the estimate of the n/2-point rule
+    embedded in it, so the first call is at 2 points_per_axis and compares
+    points_per_axis against twice that; the count doubles until the pair
+    of one call agrees to relative_tolerance or it would exceed
+    max_points_per_axis.  A budget below 2 points_per_axis, which holds no
+    pair, is refused.
     """
 
     points_per_axis: int = 256
@@ -56,8 +53,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.points_per_axis < 8:
             raise ValueError("points_per_axis must be >= 8")
-        if self.max_points_per_axis < self.points_per_axis:
-            raise ValueError("max_points_per_axis must be >= points_per_axis")
+        if self.max_points_per_axis < 2 * self.points_per_axis:
+            raise ValueError("max_points_per_axis must be >= 2 points_per_axis")
         if not 0.0 < self.relative_tolerance <= 1e-2:
             raise ValueError("relative_tolerance must be in (0, 1e-2]")
 
@@ -181,14 +178,6 @@ def x_k1_pair(x: float) -> tuple[float, float]:
     times ``bessel_k1`` and ``one_minus_x_k1``; ValueError for x <= 0."""
     k1, complement = _k1_parts(x)
     return float(x) * k1, complement
-
-
-def midpoint_grid(n: int) -> np.ndarray:
-    """Midpoint nodes -pi + 2*pi*(k+1/2)/n, k = 0..n-1.
-
-    The offset keeps the origin off the grid, where near-critical spectra
-    peak."""
-    return -np.pi + 2.0 * np.pi * (np.arange(n, dtype=np.float64) + 0.5) / n
 
 
 def close_enough(a: float, b: float, rtol: float, zero_floor: float) -> bool:

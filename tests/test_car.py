@@ -13,9 +13,13 @@ from hgmrf.car import (
     sfcar_snr,
     sfcar_spectrum,
 )
-from hgmrf.specfun import midpoint_grid
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
+
+
+def midpoint_grid(n):
+    """The nodes -pi + 2 pi (k + 1/2)/n, k = 0..n-1, which avoid w = 0 and pi."""
+    return -np.pi + 2.0 * np.pi * (np.arange(n) + 0.5) / n
 
 
 class TestCarCoefficients:
@@ -40,6 +44,17 @@ class TestCarCoefficients:
     def test_invalid_spectrum_rejected_at_construction(self):
         with pytest.raises(ValueError, match="not positive"):
             CarCoefficients({(0, 0): 1.0, (1, 0): -0.6, (-1, 0): -0.6})
+
+    @pytest.mark.parametrize("theta", [
+        {(0, 0): 1.0, (1, 0): 0.5},
+        {(0, 0): 1.0, (1, 0): -0.25, (0, 1): -0.25},
+        {(0, 0): 1.0, (1, 1): -0.25, (1, -1): -0.25},
+    ], ids=["zero-at-pi", "zero-at-origin", "diagonal-zero-at-origin"])
+    def test_symbol_vanishing_at_zero_or_pi_rejected(self, theta):
+        # a midpoint validation grid samples neither w = 0 nor pi, and took
+        # these symbols for positive
+        with pytest.raises(ValueError, match="not positive"):
+            CarCoefficients(theta)
 
     def test_pointwise_spectrum_without_validation(self):
         coeffs = CarCoefficients({(0, 0): 1.0, (1, 0): -0.6, (-1, 0): -0.6}, validate=False)

@@ -84,6 +84,22 @@ class TestRatesCommand:
         assert float(row["kli"]) == pytest.approx(0.0965735902799726, abs=1e-9)
         assert float(row["mi"]) == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
 
+    def test_quad_points_alone_leave_a_pair_in_the_budget(self, capsys):
+        # the budget derived from --quad-points used to equal it, which holds
+        # no pair: a correct rate flagged converged=false, exit 2
+        status, out, _ = run_cli(["rates", "--zeta", "0.1", "--snr", "10",
+                                  "--quad-points", "4096"], capsys)
+        assert status == 0
+        row = parse_single_row_csv(out)
+        assert (row["quad_max"], row["quadrature_points"], row["converged"]) == (
+            "8192", "8192", "true")
+
+    def test_budget_below_one_pair_is_refused(self, capsys):
+        status, out, err = run_cli(["rates", "--zeta", "0.1", "--snr", "10",
+                                    "--quad-max", "256"], capsys)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_snr_is_validation_error(self, capsys):
         status, _, err = run_cli(["rates", "--zeta", "0"], capsys)
         assert status == 1
@@ -171,6 +187,13 @@ class TestNetworkCommand:
         row = parse_single_row_csv(out)
         assert int(row["node_count"]) == 256
         assert float(row["total_kli"]) == pytest.approx(256 * float(row["per_node_kli"]))
+
+    def test_quad_points_alone_leave_a_pair_in_the_budget(self, capsys):
+        # this used to fail with "rate quadrature did not converge"
+        status, out, _ = run_cli(["network", "--n", "8", "--spacing", "1",
+                                  "--quad-points", "4096"], capsys)
+        assert status == 0
+        assert parse_single_row_csv(out)["quad_max"] == "8192"
 
     @pytest.mark.parametrize("command, rerun, written, config", [
         (["network", "--n", "64", "--spacing", "0.3"], ["network"], ["first"], "first"),
@@ -454,6 +477,20 @@ class TestExperimentCommand:
         status, out, err = run_cli(["experiment", name, "--config", str(config)], capsys)
         assert (status, out) == (1, "")
         assert err == f"error: experiment {name} does not read --{key}\n"
+
+    @pytest.mark.parametrize("values", ["", ", ,", []], ids=["empty", "blank", "config"])
+    def test_empty_values_refused(self, tmp_path, capsys, values):
+        # an empty --values used to run the default grid
+        if isinstance(values, list):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"params": {"values": values}}))
+            argv = ["experiment", "area", "--config", str(config)]
+        else:
+            argv = ["experiment", "area", "--values", values]
+        status, out, err = run_cli(argv + ["--out", str(tmp_path / "x")], capsys)
+        assert (status, out) == (1, "")
+        assert err == "error: --values lists no value\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_spacing_echoes_its_own_quadrature(self, tmp_path):
         out = tmp_path / "spacing"

@@ -4,7 +4,6 @@ import pytest
 from hgmrf import _kernels_py
 from hgmrf.car import NoiseModel, sfcar_from_snr
 from hgmrf.oracle import LatticeSpec, finite_lattice_rates
-from hgmrf.specfun import midpoint_grid
 
 
 def random_symmetric_taps(rng):
@@ -33,8 +32,8 @@ def direct_symbol(theta, oi, oj, w1, w2):
 
 
 def direct_grid_sums(theta, oi, oj, sigma2, n):
-    """(kli_mean, mi_mean, min_den) over every cell of the n x n midpoint grid."""
-    w = midpoint_grid(n)
+    """(kli_mean, mi_mean, min_den) over every cell of the n x n torus grid."""
+    w = 2.0 * np.pi * np.arange(n) / n
     den = direct_symbol(theta, oi, oj, w, w)
     s = 1.0 / (sigma2 * den)
     halflog = 0.5 * np.log1p(s)
@@ -125,18 +124,43 @@ def test_folded_grid_matches_full_grid(seed, n):
     # the sum over half the rows, weighted for their mirrors, against every
     # cell summed directly
     theta, oi, oj = positive_symmetric_taps(np.random.default_rng(seed))
-    got = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
+    kli, mi, _kli_half, _mi_half, min_den = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
     want = direct_grid_sums(theta, oi, oj, 0.5, n)
-    assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0)
-    assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0)
-    assert got[2] == pytest.approx(want[2], rel=1e-14, abs=0)
+    assert kli == pytest.approx(want[0], rel=1e-14, abs=0)
+    assert mi == pytest.approx(want[1], rel=1e-14, abs=0)
+    assert min_den == pytest.approx(want[2], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("n", [8, 256, 302])
+@pytest.mark.parametrize("seed", range(4))
+def test_car_half_means_are_the_half_grid(seed, n):
+    # the even-indexed rows and columns of the n grid are the n/2 grid, so
+    # the embedded means are that grid's means, up to the order of the sums
+    theta, oi, oj = positive_symmetric_taps(np.random.default_rng(seed))
+    _kli, _mi, kli_half, mi_half, _den = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
+    kli, mi, _kli_half, _mi_half, _den = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n // 2)
+    assert kli_half == pytest.approx(kli, rel=4e-15, abs=0)
+    assert mi_half == pytest.approx(mi, rel=4e-15, abs=0)
+
+
+@pytest.mark.parametrize("n", [8, 64, 65, 301])
+def test_car_grid_is_the_torus_oracle(n):
+    # on first-order taps the torus grid is the finite torus's spectrum:
+    # two independent evaluations of one finite sum
+    noise = NoiseModel(sigma2=0.5)
+    params = sfcar_from_snr(3.0, 0.2, noise)
+    oi, oj, theta = params.taps().tap_arrays()
+    kli, mi, *_rest = _kernels_py.car_grid_sums(theta, oi, oj, noise.sigma2, n)
+    exact = finite_lattice_rates(params, noise, LatticeSpec(n))
+    assert kli == pytest.approx(exact.kli_rate, rel=1e-14, abs=0)
+    assert mi == pytest.approx(exact.mi_rate, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_separable_symbol_matches_direct_cosine_sum(seed):
     rng = np.random.default_rng(seed)
     theta, oi, oj = random_symmetric_taps(rng)
-    w = midpoint_grid(97)
+    w = rng.uniform(-np.pi, np.pi, 97)
     got = _kernels_py.car_symbol(theta, oi, oj, w, w)
     want = direct_symbol(theta, oi, oj, w, w)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(theta))

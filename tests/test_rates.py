@@ -185,14 +185,6 @@ class TestBatchedRows:
         assert (res.quadrature_points, res.converged) == (512, True)
         assert kernel_calls == [(1, 512)]
 
-    def test_budget_below_one_pair_gives_one_plain_estimate(self, kernel_calls):
-        # max_points_per_axis < 2 points_per_axis leaves no embedded pair to
-        # compare: one call at points_per_axis, flagged unconverged
-        res = sfcar_rates(0.0, 10.0, QuadratureSpec(256, 1e-9, 511))
-        assert kernel_calls == [(1, 256)]
-        assert (res.quadrature_points, res.converged) == (256, False)
-        assert res.mi_rate == pytest.approx(0.5 * math.log1p(10.0), rel=1e-15)
-
     def test_overflowing_row_refused_before_any_row_is_integrated(self, monkeypatch):
         monkeypatch.setattr(_kernels_py, "sfcar_grid_sums", None)
         with pytest.raises(ValueError, match="^SNR/scale = 1e\\+308 is above"):
@@ -427,7 +419,7 @@ class TestGeneralCarCrossValidation:
         noise = NoiseModel(sigma2=1.0)
         res = kli_rate_car(sfcar_from_snr(10.0, 0.2499, noise).taps(), noise,
                            QuadratureSpec(8, 1e-9, 64))
-        assert sorted(sides) == [8, 16, 32, 64]
+        assert sorted(sides) == [16, 32, 64]
         assert (res.quadrature_points, res.converged) == (64, False)
 
     def test_kli_below_mi(self):

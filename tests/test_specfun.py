@@ -130,6 +130,8 @@ class TestQuadratureSpec:
         [
             {"points_per_axis": 4},
             {"points_per_axis": 64, "max_points_per_axis": 32},
+            # no pair of rules fits below 2 points_per_axis
+            {"points_per_axis": 256, "max_points_per_axis": 511},
             {"relative_tolerance": 0.0},
             {"relative_tolerance": 0.5},
         ],
