@@ -3,12 +3,12 @@
 ``sfcar_grid_sums`` averages the symmetric first-order integrands over w1
 alone, the w2 integral being closed-form, for many rows of (SNR/scale,
 1 - 4 zeta) at once: in blocks of rows of at most 6144 cells, each row
-reduced by itself.  ``_weighted_grid_sums`` is the one weighted 2-D sum
-of the (KLI, MI) integrands, in cache-sized row blocks, under one or more
-row and column weightings: ``car_grid_sums`` feeds it a general CAR
-symbol from ``car_symbol`` on the torus grid w = 2 pi k/n,
-``oracle.finite_lattice_rates`` the exact finite-lattice eigenvalues.
-Both rate kernels return, beside their n-node means, the means of the
+reduced by itself.  ``_weighted_grid_means`` is the one weighted 2-D mean
+of a (KLI, MI) integrand pair, in cache-sized row blocks, under one or
+more row and column weightings: of a general CAR symbol on the torus grid
+w = 2 pi k/n (``car_grid_sums``), of the spacing gaps (``sfcar_gap_sums``)
+and of the finite-lattice eigenvalues (``oracle.finite_lattice_rates``).
+The quadrature kernels return, beside their n-node means, the means of the
 n/2-node rule embedded in their nodes, from the same integrand values:
 the error estimate the doubling quadrature compares, one call a round.
 Every reduction runs in a fixed order, so repeated calls are bit-identical.
@@ -212,24 +212,28 @@ def _mirror_weights(n: int) -> np.ndarray:
     return np.where((k == 0) | (2 * k == n), 1.0, 2.0)
 
 
-def _weighted_grid_sums(row_ws, col_ws, block_snr):
-    """Sums over k, l of r[k] c[l] (kli, mi)(s_kl), a (kli, mi) pair for
-    each rule (r, c) of the row weights ``row_ws`` and the column weights
-    ``col_ws``, with s on the rows ``rows`` (a slice) by every column from
-    ``block_snr(rows)``, in blocks of at most _BLOCK_ELEMS cells or one
-    row.  Each rule is reduced by its own dot products, so a rule's sums
-    do not depend on the others."""
+def _weighted_grid_means(row_ws, col_ws, block_integrands):
+    """For each rule (r, c) of the row weights ``row_ws`` and column weights
+    ``col_ws``, the r[k] c[l]-weighted mean of each integrand that
+    ``block_integrands(rows)`` gives on the rows ``rows`` (a slice) by every
+    column, all in one flat list, in blocks of at most _BLOCK_ELEMS cells
+    (or one row) per integrand; each mean is reduced by its own dot products."""
     n_rows, n_cols = row_ws[0].size, col_ws[0].size
     step = max(1, _BLOCK_ELEMS // n_cols)
-    sums = np.zeros((len(row_ws), 2))
+    sums = 0.0
     for lo in range(0, n_rows, step):
         rows = slice(lo, min(lo + step, n_rows))
-        blocks = _integrands(block_snr(rows))
-        for rule, (row_w, col_w) in enumerate(zip(row_ws, col_ws)):
-            r = row_w[rows]
-            for j, block in enumerate(blocks):
-                sums[rule, j] += float(r @ (block @ col_w))
-    return sums.tolist()
+        blocks = block_integrands(rows)
+        sums = sums + np.array([[float(r[rows] @ (block @ c)) for block in blocks]
+                                for r, c in zip(row_ws, col_ws)])
+    return (sums / [[rw.sum() * cw.sum()] for rw, cw in zip(row_ws, col_ws)]).ravel().tolist()
+
+
+def _mirrored_rules(n: int):
+    # weights folding the n grid, and its embedded n/2 grid, onto k = 0..n//2
+    half = np.zeros(n // 2 + 1)
+    half[::2] = _mirror_weights(n // 2)
+    return _mirror_weights(n), half
 
 
 def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: float, n: int):
@@ -257,19 +261,35 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
     w = torus_grid(n)
     lows = []
 
-    def snr(rows):
+    def integrands(rows):
         den = car_symbol(theta, oi, oj, w[rows], w)
         lows.append(float(den.min()))
         if lows[-1] <= 0.0:
             den = np.where(den > 0.0, den, np.inf)
-        return 1.0 / (sigma2 * den)
+        return _integrands(1.0 / (sigma2 * den))
 
-    half = n // 2
-    row_half = np.zeros(half + 1)
-    row_half[::2] = _mirror_weights(half)
-    col_half = np.zeros(n)
-    col_half[:2 * half:2] = 1.0
-    (kli, mi), (kli_half, mi_half) = _weighted_grid_sums(
-        (_mirror_weights(n), row_half), (np.ones(n), col_half), snr)
-    norm, norm_half = float(n) * float(n), float(half) * float(half)
-    return kli / norm, mi / norm, kli_half / norm_half, mi_half / norm_half, min(lows)
+    half = np.zeros(n)
+    half[:n - n % 2:2] = 1.0
+    return (*_weighted_grid_means(_mirrored_rules(n), (np.ones(n), half), integrands), min(lows))
+
+
+def sfcar_gap_sums(zeta, rho, snr, n: int):
+    """Means of phi(SNR) - phi(s), phi the (kli, mi) integrands and
+    s = SNR (1 - 4 zeta rho)/(1 - 2 zeta c), c = cos w1 + cos w2, on the
+    n x n ``torus_grid`` and its n/2 grid (even n), for each row of the 1-D
+    arrays zeta, rho and snr: arrays (kli, mi, kli_half, mi_half).  As the
+    mean of s is the SNR, they are the means of the Bregman remainder
+    (sinh t - t)/2 + k sinh^2(t/2), 1 + s = (1 + SNR) e^t, k = (SNR - 1)/(SNR + 1)
+    for the KLI and 1 for the MI: no cancellation, for |t| <= 1 (alpha*d >= 3)."""
+    zeta, rho, snr = (np.asarray(v, dtype=np.float64)[:, None, None] for v in (zeta, rho, snr))
+    c = np.cos(torus_grid(n)[:n // 2 + 1])
+    gain, kli_coef = snr / (1.0 + snr), (snr - 1.0) / (snr + 1.0)
+
+    def integrands(rows):
+        c_sum = c[rows, None] + c
+        t = np.log1p(gain * (2.0 * zeta) * (c_sum - 2.0 * rho) / (1.0 - (2.0 * zeta) * c_sum))
+        odd, even = _half_sinh_minus_x(t), np.sinh(0.5 * t) ** 2
+        return np.concatenate([odd + kli_coef * even, odd + even])
+
+    rules = _mirrored_rules(n)
+    return tuple(np.reshape(_weighted_grid_means(rules, rules, integrands), (4, -1)))

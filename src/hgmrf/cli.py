@@ -24,7 +24,6 @@ from .car import NoiseModel, sfcar_from_snr
 from .experiments import (
     ENERGY_SCENARIOS,
     HIGH_SNR,
-    SPACING_QUADRATURE,
     exp_area_scaling,
     exp_density_scaling,
     exp_energy_scaling,
@@ -186,20 +185,19 @@ def _resolve_snr(args) -> float:
 
 
 def _resolve_quadrature(args) -> QuadratureSpec:
-    points = getattr(args, "quad_points", None)
-    rtol = getattr(args, "quad_rtol", None)
-    maxp = getattr(args, "quad_max", None)
-    if points is None and rtol is None and maxp is None:
-        return DEFAULT_QUADRATURE
-    base = DEFAULT_QUADRATURE
-    return QuadratureSpec(
-        points_per_axis=int(points) if points is not None else base.points_per_axis,
-        relative_tolerance=float(rtol) if rtol is not None else base.relative_tolerance,
-        # a budget derived from --quad-points holds the first pair of rules
-        max_points_per_axis=int(maxp) if maxp is not None else max(
-            base.max_points_per_axis, 2 * int(points) if points is not None else 0
-        ),
-    )
+    points, rtol, maxp, base = args.quad_points, args.quad_rtol, args.quad_max, DEFAULT_QUADRATURE
+    try:
+        return QuadratureSpec(
+            points_per_axis=base.points_per_axis if points is None else points,
+            relative_tolerance=base.relative_tolerance if rtol is None else rtol,
+            # a budget derived from --quad-points holds the first pair of rules
+            max_points_per_axis=maxp if maxp is not None else max(
+                base.max_points_per_axis, 2 * (points or 0)),
+        )
+    except ValueError as exc:  # a refusal names the flags, not the fields
+        message = str(exc).replace("max_points_per_axis", "--quad-max")
+        message = message.replace("points_per_axis", "--quad-points")
+        raise ValueError(message.replace("relative_tolerance", "--quad-rtol")) from None
 
 
 def _quadrature_params(spec: QuadratureSpec) -> dict:
@@ -397,8 +395,6 @@ def _cmd_experiment(args) -> int:
     elif args.name == "spacing":
         values = values or [v / flags["alpha"]
                             for v in (3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0)]
-        if spec is DEFAULT_QUADRATURE:  # no quadrature flag given
-            spec = SPACING_QUADRATURE
         sweep, fit = exp_spacing_convergence(flags["alpha"], flags["snr"], values, spec)
     elif args.name == "density":
         sweep, fit = exp_density_scaling(flags["area"], flags["alpha"], flags["snr"], ns, spec,

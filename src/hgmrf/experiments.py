@@ -8,14 +8,14 @@ to the top decade of the swept abscissa; pre-asymptotic points bias slope
 estimates.  Fitted constants are published with their r^2 so downstream
 consumers can judge fit quality; none of them are hard-coded anywhere.
 Each sweep integrates the rates of all its rows in one batched quadrature
-(``rates.sfcar_rates_batch``: one kernel call per doubling round).  The
-area, density and energy sweeps tabulate ``network_report`` rows through
-one helper, which integrates the per-node rates once for each distinct
-(alpha, spacing, SNR) among its rows.
+(``rates.sfcar_rates_batch``: one kernel call per doubling round) and
+raises NonConvergenceError if any is unconverged.  The area, density and
+energy sweeps tabulate ``network_report`` rows through one helper, which
+integrates the per-node rates once for each distinct (alpha, spacing,
+SNR) among its rows.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,8 +24,8 @@ import numpy as np
 from .network import (NetworkConfig, communication_energy, measurement_snr, network_report,
                       node_rates_batch)
 from .physmap import PhysicalField, correlation_parameters
-from .rates import sfcar_rates_batch, sfcar_row, sfcar_row_at_spacing
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec
+from .rates import sfcar_rate_gaps, sfcar_rates_batch, sfcar_row, sfcar_row_at_spacing
+from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, require_converged
 
 FIT_MODELS = ("power_law", "exponential_with_sqrt_prefactor", "logarithmic")
 
@@ -33,10 +33,6 @@ FIT_MODELS = ("power_law", "exponential_with_sqrt_prefactor", "logarithmic")
 TRICHOTOMY_LOSS_EXPONENTS = (2.5, 3.0, 3.5)
 #: SNRs of the high-SNR half of the snr sweep.
 HIGH_SNR = (1e3, 1e4, 1e5)
-
-#: Spacing-decay fits need tighter quadrature: the gaps shrink below 1e-6.
-SPACING_QUADRATURE = QuadratureSpec(points_per_axis=256, relative_tolerance=1e-11,
-                                    max_points_per_axis=4096)
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,7 @@ def exp_area_scaling(base: NetworkConfig, n_values: Sequence[int],
 
 
 def exp_spacing_convergence(alpha: float, snr: float, d_values: Sequence[float],
-                            spec: QuadratureSpec = SPACING_QUADRATURE):
+                            spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Decay of the information deficit as sensors spread out.
 
     Tabulates gaps Delta(d) = rate(zeta=0) - rate(d) for both measures and
@@ -195,56 +191,44 @@ def exp_spacing_convergence(alpha: float, snr: float, d_values: Sequence[float],
     in the tail regime alpha*d >= 3, where the edge correlation is already
     exponentially small.
 
-    A gap counts only if it exceeds the resolution floor
-    ``spec.relative_tolerance * (rate(zeta=0) + rate(d))``: each of the two
-    rates it is the difference of meets that relative tolerance, so a
-    smaller gap (nonpositive, or a leftover ulp of the base rate at
-    extreme spacing where the true gap is ~rho**2) is quadrature noise, not
-    signal.  Such gaps are excluded from the fit with a warning.
+    The gaps come from ``rates.sfcar_rate_gaps`` at the rates' (rho, zeta),
+    not as differences.  Raises NonConvergenceError if a rate or gap is
+    unconverged, and ValueError if a gap is not positive: the KLI gap below
+    SNR 1, and any gap past alpha*d ~ 350, where it underflows.
     """
     d_values = sorted(float(d) for d in d_values)
     if len(d_values) < 4:
         raise ValueError("need at least 4 sweep points")
     if alpha * d_values[0] < 3.0:
         raise ValueError("spacings must satisfy alpha*d >= 3 (tail regime)")
-    rate_rows = [sfcar_row(0.0, snr)]
-    rhos = []
+    rate_rows, gap_rows = [], []
     for d in d_values:
         field = PhysicalField(alpha=alpha, spacing=d)
         # the row reads the parameters physmap cached for rho: one K_1 per spacing
-        rhos.append(correlation_parameters(field)[0])
+        rho, zeta, *_ = correlation_parameters(field)
         rate_rows.append(sfcar_row_at_spacing(field, snr))
-    base, *results = sfcar_rates_batch(rate_rows, spec)
+        gap_rows.append((zeta, rho, snr))
+    rates, gaps = sfcar_rates_batch(rate_rows, spec), sfcar_rate_gaps(gap_rows, spec)
+    require_converged(rates + gaps)
     rows = [(d, {"rho": rho, "kli": res.kli_rate, "mi": res.mi_rate,
-                 "gap_kli": base.kli_rate - res.kli_rate, "gap_mi": base.mi_rate - res.mi_rate})
-            for d, rho, res in zip(d_values, rhos, results)]
+                 "gap_kli": gap.kli_rate, "gap_mi": gap.mi_rate})
+            for d, (_, rho, _), res, gap in zip(d_values, gap_rows, rates, gaps)]
     sweep = SweepResult("spacing", tuple(rows))
     ds = sweep.parameter_values
     estimates: Dict[str, float] = {}
-    r2_primary = 0.0
-    for tag, base_rate in (("kli", base.kli_rate), ("mi", base.mi_rate)):
-        gaps = sweep.column(f"gap_{tag}")
-        floor = spec.relative_tolerance * (base_rate + sweep.column(tag))
-        usable = gaps > floor
-        if not np.all(usable):
-            warnings.warn(
-                f"excluding {int(np.sum(~usable))} nonpositive or unresolved {tag} gaps"
-                " from the fit",
-                stacklevel=2,
-            )
-        if int(np.sum(usable)) < 4:
-            raise ValueError(f"fewer than 4 usable {tag} gaps in the fit window")
-        d, gap = ds[usable], gaps[usable]
-        slope, icept, r2 = _ols(d, np.log(gap / np.sqrt(d)))
+    r2: Dict[str, float] = {}
+    for tag in ("kli", "mi"):
+        gap = sweep.column(f"gap_{tag}")
+        for d, g in zip(d_values, gap):
+            if not g > 0.0:
+                raise ValueError(f"the {tag} gap at spacing {d!r} is {float(g)!r}, not positive")
+        slope, estimates[f"log_prefactor_{tag}"], r2[tag] = _ols(ds, np.log(gap / np.sqrt(ds)))
         estimates[f"decay_rate_{tag}"] = -slope
-        estimates[f"log_prefactor_{tag}"] = icept
-        estimates[f"decay_rate_{tag}_d_prefactor"] = -_ols(d, np.log(gap / d))[0]
-        if tag == "kli":
-            r2_primary = r2
+        estimates[f"decay_rate_{tag}_d_prefactor"] = -_ols(ds, np.log(gap / ds))[0]
     fit = FitResult(
         model="exponential_with_sqrt_prefactor",
         estimates=estimates,
-        r_squared=r2_primary,
+        r_squared=r2["kli"],
         window=(float(ds.min()), float(ds.max())),
     )
     return sweep, fit
@@ -319,7 +303,7 @@ def exp_snr_limits(zeta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
     if len(low) < 4:
         raise ValueError("need at least 4 low-SNR points")
     snrs = low + high
-    results = sfcar_rates_batch([sfcar_row(zeta, snr) for snr in snrs], spec)
+    results = require_converged(sfcar_rates_batch([sfcar_row(zeta, snr) for snr in snrs], spec))
     rows = [(snr, {"kli": res.kli_rate, "mi": res.mi_rate}) for snr, res in zip(snrs, results)]
     sweep = SweepResult("snr", tuple(rows))
     kli, mi = (np.array([out[key] for _, out in rows]) for key in ("kli", "mi"))

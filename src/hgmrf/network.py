@@ -23,7 +23,7 @@ from typing import List, Sequence
 
 from .physmap import PhysicalField
 from .rates import RateResult, sfcar_rates_batch, sfcar_row_at_spacing
-from .specfun import DEFAULT_QUADRATURE, NonConvergenceError, QuadratureSpec
+from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, require_converged
 
 
 @dataclass(frozen=True)
@@ -146,10 +146,7 @@ def node_rates_batch(configs: Sequence[NetworkConfig],
             raise ValueError("zero-SNR network: sensing energy must be positive")
         field = PhysicalField(alpha=config.alpha, spacing=config.spacing)
         rows.append(sfcar_row_at_spacing(field, measurement_snr(config)))
-    results = sfcar_rates_batch(rows, spec)
-    if not all(r.converged for r in results):
-        raise NonConvergenceError("rate quadrature did not converge for this network")
-    return results
+    return require_converged(sfcar_rates_batch(rows, spec), "this network")
 
 
 def network_report(config: NetworkConfig, rates: RateResult) -> NetworkReport:

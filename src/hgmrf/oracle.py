@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import _mirror_weights, _weighted_grid_sums, torus_grid
+from ._kernels_py import _integrands, _mirror_weights, _weighted_grid_means, torus_grid
 from .car import NoiseModel, SfcarParams
 from .rates import RateResult
 
@@ -118,9 +118,9 @@ def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
     c = c[: mult.size]
     # in row blocks, whose temporaries stay small: n^2-sized ones would
     # raise the peak memory of the process
-    [(kli, mi)] = _weighted_grid_sums((mult,), (mult,),
-                                      lambda rows: _bin_snrs(params, noise, c[rows], c))
-    return RateResult(kli / (n * n), mi / (n * n), n, True)
+    kli, mi = _weighted_grid_means(
+        (mult,), (mult,), lambda rows: _integrands(_bin_snrs(params, noise, c[rows], c)))
+    return RateResult(kli, mi, n, True)
 
 
 def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,

@@ -42,7 +42,8 @@ implementation for cross-validation: the periodic trapezoid rule on the
 n x n torus grid w = 2 pi k/n, the grid of the finite-lattice torus
 oracle, whose even-indexed nodes are the n/2 grid.  Each kernel call
 returns both grids' means from the same integrand values, so both rate
-paths share one doubling scheme, one kernel call per round.
+paths share one doubling scheme, one kernel call per round, and so do
+the spacing gaps of ``sfcar_rate_gaps``, taken without cancellation.
 """
 
 import math
@@ -64,7 +65,7 @@ class RateResult:
 
     kli_rate <= mi_rate always (their integrands differ by the nonpositive
     term 0.5/(1+s) - 0.5).  quadrature_points is the final node count per
-    axis: w1 nodes on the SFCAR path, the grid side on the general-CAR path
+    axis: w1 nodes on the SFCAR path, the grid side on the torus-grid paths
     (0 for closed-form endpoint values); converged=False flags an estimate
     that stopped at the point budget without meeting the tolerance.
     """
@@ -101,15 +102,14 @@ _CAR_ZERO_FLOOR = 1e-12
 _SFCAR_ZERO_FLOOR = sys.float_info.min
 
 
-def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec,
-                    zero_floor: float) -> List[RateResult]:
+def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec, zero_floor: float,
+                    n: Optional[int] = None) -> List[RateResult]:
     # the doubling quadrature of m rows at once: eval_sums(n, live) gives the
     # (kli, mi, kli_half, mi_half) estimates of the rows whose indices are in
     # live, at n nodes and at n/2 nodes; a row whose pair agrees has
-    # converged, and each round doubles n for the rest, from 2 points_per_axis,
-    # so the first pair is points_per_axis against twice that, which
-    # QuadratureSpec keeps within the budget
-    n = 2 * spec.points_per_axis
+    # converged, and each round doubles n for the rest, from the n given (cut
+    # to the budget) or 2 points_per_axis, which QuadratureSpec keeps within it
+    n = min(n or 2 * spec.points_per_axis, spec.max_points_per_axis)
     results: List[Optional[RateResult]] = [None] * m
     live = list(range(m))
     while live:
@@ -220,6 +220,17 @@ def sfcar_rates_at_spacing(field: PhysicalField, snr: float,
     there.
     """
     return sfcar_rates_batch([sfcar_row_at_spacing(field, snr)], spec)[0]
+
+
+def sfcar_rate_gaps(rows: Sequence[Tuple[float, float, float]],
+                    spec: QuadratureSpec = DEFAULT_QUADRATURE) -> List[RateResult]:
+    """rate(zeta = 0) - rate(zeta) as kli_rate and mi_rate for each row (zeta,
+    rho, SNR) with alpha*d >= 3, from torus side 32 (its side 16 is within 2e-11
+    relative at alpha*d = 3); non-convergence is flagged on the result."""
+    def sums(n, live):
+        return [v.tolist() for v in _kernels_py.sfcar_gap_sums(*np.array(rows)[live].T, n)]
+
+    return _doubling_rates(sums, len(rows), spec, _SFCAR_ZERO_FLOOR, 32)
 
 
 def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,

@@ -4,7 +4,7 @@ Exactly the primitives the rate formulas need: the arithmetic-geometric
 mean with its complement, the complete elliptic integral of the first kind K(k) in the modulus
 convention (K(0) = pi/2, K(k) -> inf as k -> 1), the modified Bessel
 function K_1 and 1 - x K_1(x) without cancellation, and the budget and
-convergence test of the doubling quadrature.
+convergence tests of the doubling quadrature.
 All arithmetic is 64-bit binary floating point.
 """
 
@@ -178,6 +178,13 @@ def x_k1_pair(x: float) -> tuple[float, float]:
     times ``bessel_k1`` and ``one_minus_x_k1``; ValueError for x <= 0."""
     k1, complement = _k1_parts(x)
     return float(x) * k1, complement
+
+
+def require_converged(results, what: str = "this sweep"):
+    """The rate results, if each met its tolerance; else NonConvergenceError."""
+    if not all(r.converged for r in results):
+        raise NonConvergenceError(f"rate quadrature did not converge for {what}")
+    return results
 
 
 def close_enough(a: float, b: float, rtol: float, zero_floor: float) -> bool:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from hgmrf import cli
 from hgmrf.cli import main
-from hgmrf.experiments import SPACING_QUADRATURE, FitResult, SweepResult
+from hgmrf.experiments import FitResult, SweepResult
+from hgmrf.specfun import DEFAULT_QUADRATURE
 
 
 def run_cli(argv, capsys):
@@ -99,6 +100,16 @@ class TestRatesCommand:
                                     "--quad-max", "256"], capsys)
         assert (status, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--quad-points", "4"], "--quad-points must be >= 8"),
+        (["--quad-max", "256"], "--quad-max must be >= 2 --quad-points"),
+        (["--quad-rtol", "0.1"], "--quad-rtol must be in (0, 1e-2]"),
+    ], ids=["quad-points", "quad-max", "quad-rtol"])
+    def test_quadrature_refusal_names_the_flag(self, capsys, flags, message):
+        # these named the QuadratureSpec fields, e.g. max_points_per_axis
+        status, out, err = run_cli(["rates", "--zeta", "0.1", "--snr", "10"] + flags, capsys)
+        assert (status, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_snr_is_validation_error(self, capsys):
         status, _, err = run_cli(["rates", "--zeta", "0"], capsys)
@@ -383,7 +394,8 @@ class TestExperimentWork:
         # kernel call per doubling round, and every row converges in the
         # first, at 512 nodes against its embedded 256-node rule: 6 calls
         # where one call per row and round made 84; at zeta = 1/4 every
-        # rate is 0
+        # rate is 0.  The spacing sweep has no zeta = 0 row: its gaps have
+        # a kernel of their own
         from hgmrf import _kernels_py
 
         calls = []
@@ -393,7 +405,7 @@ class TestExperimentWork:
         for i, argv in enumerate(DEFAULT_EXPERIMENTS):
             assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
         assert len(calls) == 6
-        assert calls == [(rows, 512) for rows in (1, 9, 12, 10, 9, 1)]
+        assert calls == [(rows, 512) for rows in (1, 9, 11, 10, 9, 1)]
 
     def test_spacing_evaluates_k1_once_per_spacing(self, tmp_path, monkeypatch):
         # the rho column and the rates of a spacing share one K_1 evaluation:
@@ -493,12 +505,24 @@ class TestExperimentCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_spacing_echoes_its_own_quadrature(self, tmp_path):
+        # the default spec: spacing used to swap in a tighter one of its own
         out = tmp_path / "spacing"
         assert main(["experiment", "spacing", "--values", "3,4,5,6", "--out", str(out)]) == 0
         params = json.loads((tmp_path / "spacing.json").read_text())["params"]
         assert (params["quad_points"], params["quad_rtol"], params["quad_max"]) == (
-            SPACING_QUADRATURE.points_per_axis, SPACING_QUADRATURE.relative_tolerance,
-            SPACING_QUADRATURE.max_points_per_axis)
+            DEFAULT_QUADRATURE.points_per_axis, DEFAULT_QUADRATURE.relative_tolerance,
+            DEFAULT_QUADRATURE.max_points_per_axis)
+
+    @pytest.mark.parametrize("argv", [["snr", "--zeta", "0.2499"], ["spacing"]],
+                             ids=["snr", "spacing"])
+    def test_unconverged_sweep_exits_2(self, tmp_path, capsys, argv):
+        # these wrote rates flagged converged=false and exited 0
+        quad = ["--quad-points", "8", "--quad-max", "16", "--quad-rtol", "1e-12"]
+        status, out, err = run_cli(["experiment"] + argv + quad + ["--out", str(tmp_path / "x")],
+                                   capsys)
+        assert (status, out) == (2, "")
+        assert err == "error: rate quadrature did not converge for this sweep\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_snr_table_cells_are_numbers(self, tmp_path):
         out = tmp_path / "snr"

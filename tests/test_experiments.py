@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from hgmrf.experiments import (
     fit_power_law,
 )
 from hgmrf.network import NetworkConfig, evaluate_network, node_rates_batch
+from hgmrf.physmap import PhysicalField, correlation_parameters
 from hgmrf.specfun import NonConvergenceError, QuadratureSpec
 
 FAST_QUAD = QuadratureSpec(points_per_axis=128, relative_tolerance=1e-8,
@@ -142,20 +144,32 @@ class TestSpacingConvergence:
         with pytest.raises(ValueError, match="tail"):
             exp_spacing_convergence(1.0, 10.0, [1.0, 2.0, 3.0, 4.0])
 
-    def test_nonpositive_gaps_warned_and_excluded(self):
-        # at d=30 and d=35 the true gap is ~rho**2 ~ 1e-25; what the
-        # quadrature returns there is zero or an ulp of the base rate, and
-        # must be excluded from the fit for both measures
-        resolved = list(np.linspace(3.0, 6.0, 6))
-        with pytest.warns(UserWarning, match="nonpositive") as record:
-            _, fit = exp_spacing_convergence(1.0, 10.0, resolved + [30.0, 35.0])
-        assert fit.estimates["decay_rate_kli"] > 0
-        messages = [str(w.message) for w in record]
-        assert any(" kli gaps" in m for m in messages)
-        assert any(" mi gaps" in m for m in messages)
-        _, ref = exp_spacing_convergence(1.0, 10.0, resolved)
-        for key in ("decay_rate_kli", "decay_rate_mi"):
-            assert fit.estimates[key] == pytest.approx(ref.estimates[key], rel=1e-12)
+    def test_wide_gaps_are_resolved_and_fitted(self, spacing_gap_oracle):
+        # at d = 30 and 35 the gap is ~rho**2 ~ 1e-25; as the difference of
+        # two rates it was zero or an ulp of the base rate, and was excluded
+        # from the fit with a warning
+        ds = [3.0, 4.0, 5.0, 6.0, 30.0, 35.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep, fit = exp_spacing_convergence(1.0, 10.0, ds)
+        for tag, col in (("kli", 0), ("mi", 1)):
+            gaps = sweep.column(f"gap_{tag}")
+            assert np.all(gaps > 0)
+            for d, gap in zip(ds[-2:], gaps[-2:]):
+                zeta = correlation_parameters(PhysicalField(1.0, d))[1]
+                want = float(spacing_gap_oracle(zeta, 10.0, 32)[col])
+                assert gap == pytest.approx(want, rel=1e-13, abs=0)
+            slope = np.polyfit(np.array(ds), np.log(gaps / np.sqrt(ds)), 1)[0]
+            assert fit.estimates[f"decay_rate_{tag}"] == pytest.approx(-slope, rel=1e-12)
+
+    def test_negative_kli_gap_refused_below_unit_snr(self):
+        # the KLI integrand is convex at low SNR, so correlation adds KLI
+        # there: its gap is negative and has no log to fit
+        with pytest.raises(ValueError) as err:
+            exp_spacing_convergence(1.0, 1e-3, [3.0, 4.0, 5.0, 6.0])
+        message = str(err.value)
+        assert message.startswith("the kli gap at spacing 3.0 is -")
+        assert message.endswith(", not positive") and "\n" not in message
 
 
 class TestDensityScaling:

@@ -143,6 +143,29 @@ def test_car_half_means_are_the_half_grid(seed, n):
     assert mi_half == pytest.approx(mi, rel=4e-15, abs=0)
 
 
+#: (zeta, rho, SNR) rows of the gap kernel: alpha*d = 3 at SNR 10 and 1e-3,
+#: alpha*d = 8 at SNR 1e4
+GAP_ROWS = ([0.11244433540251597, 0.11244433540251597, 0.0012429440931255667],
+            [0.12046929338458255, 0.12046929338458255, 0.0012429536944400092],
+            [10.0, 1e-3, 1e4])
+
+
+@pytest.mark.parametrize("n", [8, 32, 256])
+def test_gap_half_means_are_the_half_grid(n):
+    # as for the CAR kernel: the embedded means are the n/2 grid's
+    _kli, _mi, kli_half, mi_half = _kernels_py.sfcar_gap_sums(*GAP_ROWS, n)
+    kli, mi, _kli_half, _mi_half = _kernels_py.sfcar_gap_sums(*GAP_ROWS, n // 2)
+    np.testing.assert_allclose(kli_half, kli, rtol=4e-15, atol=0)
+    np.testing.assert_allclose(mi_half, mi, rtol=4e-15, atol=0)
+
+
+def test_gap_row_does_not_depend_on_the_batch():
+    batch = np.array(_kernels_py.sfcar_gap_sums(*GAP_ROWS, 32))
+    for i in range(3):
+        alone = _kernels_py.sfcar_gap_sums(*([col[i]] for col in GAP_ROWS), 32)
+        assert [float(v[0]) for v in alone] == batch[:, i].tolist()
+
+
 @pytest.mark.parametrize("n", [8, 64, 65, 301])
 def test_car_grid_is_the_torus_oracle(n):
     # on first-order taps the torus grid is the finite torus's spectrum:

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from hgmrf.car import NoiseModel, sfcar_from_snr
-from hgmrf.physmap import ZETA_MAX, PhysicalField, edge_correlation, rho_from_zeta
+from hgmrf.physmap import (ZETA_MAX, PhysicalField, correlation_parameters, edge_correlation,
+                           rho_from_zeta)
 from hgmrf import _kernels_py
 from hgmrf.rates import (
     RateResult,
     kli_integrand,
     kli_rate_car,
+    sfcar_rate_gaps,
     sfcar_rates,
     sfcar_rates_at_spacing,
     sfcar_rates_batch,
@@ -464,3 +466,42 @@ class TestRatesAtSpacing:
         r_below = sfcar_rates_at_spacing(PhysicalField(alpha, d_below), 10.0)
         assert r_above.kli_rate == pytest.approx(r_below.kli_rate, rel=2e-3)
         assert r_above.mi_rate == pytest.approx(r_below.mi_rate, rel=2e-3)
+
+
+def _gap_row(alpha_d, snr):
+    rho, zeta, _delta, _scale = correlation_parameters(PhysicalField(1.0, alpha_d))
+    return zeta, rho, snr
+
+
+class TestSpacingGaps:
+    @pytest.mark.parametrize("snr", [1e-3, 10.0, 1e4])
+    @pytest.mark.parametrize("alpha_d", [3.0, 8.0, 30.0])
+    def test_against_the_definition_at_50_digits(self, spacing_gap_oracle, alpha_d, snr):
+        # the reference subtracts the rates at 50 digits, with no Bregman
+        # rewrite; its torus sides 32 and 48 agree far below the tolerance,
+        # so it is the spectral integral.  Below SNR 1 the KLI gap is negative
+        zeta, rho, _ = row = _gap_row(alpha_d, snr)
+        ref, ref_48 = spacing_gap_oracle(zeta, snr, 32), spacing_gap_oracle(zeta, snr, 48)
+        gaps = sfcar_rate_gaps([row])[0]
+        assert (gaps.converged, gaps.quadrature_points) == (True, 32)
+        for value, want, want_48 in zip((gaps.kli_rate, gaps.mi_rate), ref, ref_48):
+            assert abs((want_48 - want) / want) < 1e-20
+            assert value == pytest.approx(float(want), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("snr", [10.0, 1e4])
+    def test_equal_the_rate_differences_where_those_resolve_them(self, snr):
+        # at alpha*d = 3 the gap is ~1% of the rates, so their difference
+        # holds it to ~1e-14 (at SNR 1e-3 the MI gap is 3e-5 of the rate, and
+        # the difference is 6e-12 off the 50-digit gap, the gap 1e-16)
+        row = _gap_row(3.0, snr)
+        base = sfcar_rates(0.0, snr)
+        rates = sfcar_rates_at_spacing(PhysicalField(1.0, 3.0), snr)
+        gaps = sfcar_rate_gaps([row])[0]
+        assert gaps.kli_rate == pytest.approx(base.kli_rate - rates.kli_rate, rel=1e-12, abs=0)
+        assert gaps.mi_rate == pytest.approx(base.mi_rate - rates.mi_rate, rel=1e-12, abs=0)
+
+    def test_unconverged_within_a_small_budget_is_flagged(self):
+        # the first call is at side 32, or at the budget where that is smaller
+        spec = QuadratureSpec(points_per_axis=8, relative_tolerance=1e-12, max_points_per_axis=16)
+        gaps = sfcar_rate_gaps([_gap_row(3.0, 10.0)], spec)[0]
+        assert (gaps.converged, gaps.quadrature_points) == (False, 16)
