@@ -194,10 +194,16 @@ def car_symbol(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray,
     return (np.cos(a) * theta) @ np.cos(b) - (np.sin(a) * theta) @ np.sin(b)
 
 
-def _integrands(s):
-    # (KLI, MI) = (0.5 log1p(s) - 0.5 s/(1+s), 0.5 log1p(s)), one log1p per value
-    mi = 0.5 * np.log1p(s)
-    return mi - 0.5 * (s / (1.0 + s)), mi
+def _integrands(s: np.ndarray):
+    # (KLI, MI) = (0.5 log1p(s) - 0.5 s/(1+s), 0.5 log1p(s)), in place: the
+    # halving is exact, so it may come last.  Loses eps/s relative at low s
+    mi = np.log1p(s)
+    kli = s + 1.0
+    np.divide(s, kli, out=kli)
+    np.subtract(mi, kli, out=kli)
+    kli *= 0.5
+    mi *= 0.5
+    return kli, mi
 
 
 def torus_grid(n: int) -> np.ndarray:
@@ -251,6 +257,9 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
     and row n - k holds the values of row k, so rows k = 0..n//2 are summed
     with the weights of ``_mirror_weights``, and min_den comes from the same
     rows.  Where the symbol is not positive, s = 0 leaves the cell out.
+    For t = log1p(s) < 1 the KLI (t - 1 + e^-t)/2 is sinh^2(t/2) -
+    (sinh t - t)/2, as in ``sfcar_gap_sums``: no cancellation at low SNR,
+    for ~8x the work per cell of the oracle's ``_integrands``.
     """
     if n < 2:
         raise ValueError("grid side must be >= 2")
@@ -266,7 +275,12 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
         lows.append(float(den.min()))
         if lows[-1] <= 0.0:
             den = np.where(den > 0.0, den, np.inf)
-        return _integrands(1.0 / (sigma2 * den))
+        s = 1.0 / (sigma2 * den)
+        t = np.log1p(s)
+        q = s / (1.0 + s)  # 1 - e^-t, and s q/4 = sinh^2(t/2)
+        kli = np.where(t < 1.0, 0.25 * s * q - _half_sinh_minus_x(np.minimum(t, 1.0)),
+                       0.5 * (t - q))
+        return kli, 0.5 * t
 
     half = np.zeros(n)
     half[:n - n % 2:2] = 1.0

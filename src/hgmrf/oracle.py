@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels_py
 from ._kernels_py import _integrands, _mirror_weights, _weighted_grid_means, torus_grid
 from .car import NoiseModel, SfcarParams
 from .rates import RateResult
@@ -139,7 +140,9 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
     mean converges almost surely to the finite-lattice KLI.  Every replicate
     draws its n x n standard normals in turn from one Philox stream seeded
     with mc.seed, so the result is bit-identical for a given seed and numpy
-    version.  Requires replicates >= 2 for a standard error.
+    version.  Each block of replicates (_BLOCK_ELEMS cells, or one
+    replicate) is one draw and one FFT, which changes no bit.  Requires
+    replicates >= 2 for a standard error.
     """
     if mc.replicates < 2:
         raise ValueError("at least 2 replicates are needed for a standard error")
@@ -152,10 +155,13 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
     norm = float(n * n)
     gen = np.random.Generator(np.random.Philox(mc.seed))
     values = np.empty(mc.replicates)
-    for r in range(mc.replicates):
-        spectrum = np.fft.rfft2(gen.standard_normal((n, n)), norm="ortho")
+    step = max(1, _kernels_py._BLOCK_ELEMS // (n * n))
+    for lo in range(0, mc.replicates, step):
+        block = min(step, mc.replicates - lo)
+        spectrum = np.fft.rfft2(gen.standard_normal((block, n, n)), norm="ortho")
         power = spectrum.real**2 + spectrum.imag**2
-        values[r] = (log_term - float(np.sum(weight * power))) / norm
+        power *= weight
+        values[lo:lo + block] = (log_term - np.sum(power.reshape(block, -1), axis=1)) / norm
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(mc.replicates))
     return mean, stderr

@@ -43,7 +43,10 @@ n x n torus grid w = 2 pi k/n, the grid of the finite-lattice torus
 oracle, whose even-indexed nodes are the n/2 grid.  Each kernel call
 returns both grids' means from the same integrand values, so both rate
 paths share one doubling scheme, one kernel call per round, and so do
-the spacing gaps of ``sfcar_rate_gaps``, taken without cancellation.
+the spacing gaps of ``sfcar_rate_gaps``.  Both start at side 32 (cut to
+the budget), as the rule converges exponentially on a periodic analytic
+integrand, and both form their integrands without cancellation, so one
+zero floor, the smallest normal double, serves every rate path.
 """
 
 import math
@@ -80,7 +83,8 @@ def kli_integrand(s):
     """Per-frequency divergence D(N(0,1) || N(0,1+s)) in nats.
 
     Equals 0.5*log(1+s) + 0.5/(1+s) - 0.5, evaluated as 0.5*log1p(s) -
-    0.5*s/(1+s) like every 2-D sum of the kernels; behaves like s^2/4 as
+    0.5*s/(1+s) like the sums of the finite-lattice oracle (the rate
+    kernels use a cancellation-free form); behaves like s^2/4 as
     s -> 0.  The two terms still cancel to leading order at small s, so the
     relative error grows like eps/s (the absolute error stays below eps*s).
     Against a 40-digit evaluation it is at most ~2e-16 relative for s >= 1,
@@ -89,20 +93,16 @@ def kli_integrand(s):
     scalars or arrays.
     """
     s = np.asarray(s, dtype=np.float64)
-    out = _kernels_py._integrands(s)[0]
-    return float(out) if out.ndim == 0 else out
+    out = _kernels_py._integrands(s.reshape(-1))[0]
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
-#: Estimates whose magnitude and change are both at most the floor count as
-#: converged zeros (a relative test is meaningless at roundoff scale).  The
-#: 2-D torus-grid sums of the general-CAR rates carry roundoff far above the
-#: smallest doubles; the SFCAR kernel keeps full relative precision down to
-#: the bottom of the normal range.
-_CAR_ZERO_FLOOR = 1e-12
-_SFCAR_ZERO_FLOOR = sys.float_info.min
+#: First torus-grid side (cut to the budget) of ``sfcar_rate_gaps`` and
+#: ``kli_rate_car``, whatever spec.points_per_axis is.
+_TORUS_START_SIDE = 32
 
 
-def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec, zero_floor: float,
+def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec,
                     n: Optional[int] = None) -> List[RateResult]:
     # the doubling quadrature of m rows at once: eval_sums(n, live) gives the
     # (kli, mi, kli_half, mi_half) estimates of the rows whose indices are in
@@ -115,8 +115,8 @@ def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec, zero_floor: float,
     while live:
         pending = []
         for i, k, v, k_half, v_half in zip(live, *eval_sums(n, live)):
-            converged = (close_enough(k_half, k, spec.relative_tolerance, zero_floor)
-                         and close_enough(v_half, v, spec.relative_tolerance, zero_floor))
+            converged = (close_enough(k_half, k, spec.relative_tolerance)
+                         and close_enough(v_half, v, spec.relative_tolerance))
             results[i] = RateResult(k, v, n, converged)
             if not converged:
                 pending.append(i)
@@ -163,7 +163,7 @@ def sfcar_rates_batch(rows: Sequence[Tuple[float, float, float]],
             means = _kernels_py.sfcar_grid_sums([cs[j] for j in sel], [deltas[j] for j in sel], n)
             return [v.tolist() for v in means]
 
-        for i, res in zip(live, _doubling_rates(sums, len(live), spec, _SFCAR_ZERO_FLOOR)):
+        for i, res in zip(live, _doubling_rates(sums, len(live), spec)):
             results[i] = res
     return results
 
@@ -230,7 +230,7 @@ def sfcar_rate_gaps(rows: Sequence[Tuple[float, float, float]],
     def sums(n, live):
         return [v.tolist() for v in _kernels_py.sfcar_gap_sums(*np.array(rows)[live].T, n)]
 
-    return _doubling_rates(sums, len(rows), spec, _SFCAR_ZERO_FLOOR, 32)
+    return _doubling_rates(sums, len(rows), spec, _TORUS_START_SIDE)
 
 
 def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
@@ -238,9 +238,10 @@ def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
     """Rates for a general finite-tap CAR field observed in noise.
 
     Integrates the spectral integrands with s(w) = 1/(sigma^2 * symbol(w))
-    where symbol is the precision cosine sum.  Raises ValueError if the
-    symbol is non-positive anywhere on the integration grid (invalid
-    model); quadrature non-convergence is flagged on the result.
+    where symbol is the precision cosine sum, on torus grids from side 32
+    whatever spec.points_per_axis is.  Raises ValueError if the symbol is
+    non-positive anywhere on the integration grid (invalid model);
+    quadrature non-convergence is flagged on the result.
     """
     oi, oj, vals = coeffs.tap_arrays()
 
@@ -252,4 +253,4 @@ def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
             )
         return [[v] for v in means]
 
-    return _doubling_rates(sums, 1, spec, _CAR_ZERO_FLOOR)[0]
+    return _doubling_rates(sums, 1, spec, _TORUS_START_SIDE)[0]

@@ -9,6 +9,7 @@ All arithmetic is 64-bit binary floating point.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +36,14 @@ class NonConvergenceError(ArithmeticError):
 class QuadratureSpec:
     """Budget for the doubling quadrature of the rates.
 
-    points_per_axis is the starting node count per integration axis: of
-    the one-axis (w1) tanh rule of the symmetric first-order rates, and
-    the side of the 2-D torus grid of the general-CAR rates.  Each kernel
-    call at n points also returns the estimate of the n/2-point rule
-    embedded in it, so the first call is at 2 points_per_axis and compares
-    points_per_axis against twice that; the count doubles until the pair
-    of one call agrees to relative_tolerance or it would exceed
-    max_points_per_axis.  A budget below 2 points_per_axis, which holds no
-    pair, is refused.
+    points_per_axis is the starting node count of the one-axis (w1) tanh
+    rule of the symmetric first-order rates only; the 2-D torus grids start
+    at side 32, cut to the budget.  Each kernel call at n points also
+    returns the estimate of the n/2-point rule embedded in it, so the first
+    w1 call is at 2 points_per_axis and compares points_per_axis against
+    twice that; the count doubles until the pair of one call agrees to
+    relative_tolerance or it would exceed max_points_per_axis.  A budget
+    below 2 points_per_axis, which holds no pair, is refused.
     """
 
     points_per_axis: int = 256
@@ -187,11 +187,10 @@ def require_converged(results, what: str = "this sweep"):
     return results
 
 
-def close_enough(a: float, b: float, rtol: float, zero_floor: float) -> bool:
+def close_enough(a: float, b: float, rtol: float) -> bool:
     """Relative agreement test; estimates whose magnitude and change are
-    both at most zero_floor count as converged zeros."""
+    both at most the smallest normal double count as converged zeros (the
+    rate kernels keep full relative precision down to there)."""
     diff = abs(a - b)
     scale = max(abs(a), abs(b))
-    if diff <= rtol * scale:
-        return True
-    return scale <= zero_floor and diff <= zero_floor
+    return diff <= rtol * scale or max(scale, diff) <= sys.float_info.min

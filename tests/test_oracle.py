@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hgmrf import _kernels_py
 from hgmrf.car import NoiseModel, SfcarParams, sfcar_from_snr
 from hgmrf.oracle import (
     LatticeSpec,
@@ -211,6 +212,17 @@ class TestMonteCarloLlr:
         assert mean == pytest.approx(np.mean(values), rel=1e-13, abs=0)
         want_stderr = np.std(values, ddof=1) / math.sqrt(spec.replicates)
         assert stderr == pytest.approx(want_stderr, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", [15, 16, 64, 65])
+    def test_replicate_blocks_do_not_change_a_bit(self, monkeypatch, n):
+        # one replicate per block is the draw-and-transform of each replicate
+        # in turn; one block holds every replicate
+        params = sfcar_from_snr(10.0, 0.1)
+        spec = MonteCarloSpec(replicates=33, seed=4242)
+        want = sample_llr_per_node(params, NoiseModel(1.0), n, spec)
+        for block in (1, 2**20):
+            monkeypatch.setattr(_kernels_py, "_BLOCK_ELEMS", block)
+            assert sample_llr_per_node(params, NoiseModel(1.0), n, spec) == want
 
     def test_different_seeds_differ(self):
         params = sfcar_from_snr(10.0, 0.1)

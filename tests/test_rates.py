@@ -381,6 +381,23 @@ class TestOneDimensionalPathAccuracy:
         assert res.mi_rate == pytest.approx(ref[1], rel=1e-12, abs=0.0)
 
 
+@pytest.fixture
+def car_sides(monkeypatch):
+    """The grid side of each ``car_grid_sums`` call the test makes."""
+    sides = []
+    kernel = _kernels_py.car_grid_sums
+    monkeypatch.setattr(_kernels_py, "car_grid_sums",
+                        lambda *args: sides.append(args[-1]) or kernel(*args))
+    return sides
+
+
+def dip_taps(w_dip, depth):
+    """Taps along w1 alone whose symbol (cos w1 - cos w_dip)^2 + depth dips
+    to depth at w1 = +-w_dip, off the nodes of every torus grid."""
+    x = math.cos(w_dip)
+    return CarCoefficients({(0, 0): x * x + depth + 0.5, (1, 0): -x, (2, 0): 0.25})
+
+
 class TestGeneralCarCrossValidation:
     def test_white_field_reduces_to_stein(self):
         res = kli_rate_car(CarCoefficients({(0, 0): 1.0}), NoiseModel(1.0))
@@ -413,16 +430,60 @@ class TestGeneralCarCrossValidation:
                            QuadratureSpec(8, 1e-9, 16))
         assert (res.quadrature_points, res.converged) == (16, False)
 
-    def test_each_grid_side_is_integrated_once(self, monkeypatch):
-        sides = []
-        kernel = _kernels_py.car_grid_sums
-        monkeypatch.setattr(_kernels_py, "car_grid_sums",
-                            lambda *args: sides.append(args[-1]) or kernel(*args))
+    def test_each_grid_side_is_integrated_once(self, car_sides):
         noise = NoiseModel(sigma2=1.0)
         res = kli_rate_car(sfcar_from_snr(10.0, 0.2499, noise).taps(), noise,
                            QuadratureSpec(8, 1e-9, 64))
-        assert sorted(sides) == [16, 32, 64]
+        assert sorted(car_sides) == [32, 64]
         assert (res.quadrature_points, res.converged) == (64, False)
+
+    @pytest.mark.parametrize("taps, sigma2", [
+        pytest.param(sfcar_from_snr(snr, zeta, NoiseModel(1.0)).taps(), 1.0,
+                     id=f"sfcar-{zeta}-{snr}")
+        for zeta in (0.0, 0.1, 0.2) for snr in (1e-2, 1e3)
+    ] + [
+        pytest.param(CarCoefficients({(0, 0): 1.0, (1, 0): -0.12, (0, 1): -0.12,
+                                      (1, 1): -0.08, (1, -1): -0.08}), sigma2,
+                     id=f"second-order-{sigma2}")
+        for sigma2 in (0.1, 10.0)
+    ])
+    def test_smooth_fields_stop_by_side_64(self, car_sides, taps, sigma2):
+        # the fields of the oracle cross-checks: on a periodic analytic
+        # integrand the torus rule converges exponentially, so no grid
+        # beyond side 64 is integrated at the default spec
+        assert kli_rate_car(taps, NoiseModel(sigma2)).converged
+        assert max(car_sides) <= 64
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.24])
+    @pytest.mark.parametrize("snr", [1e-10, 1e-3, 10.0])
+    def test_low_snr_rates_match_separated_form(self, zeta, snr):
+        # the torus-grid KLI is formed without cancellation, so it converges
+        # to full relative precision at any SNR, with no zero floor
+        noise = NoiseModel(sigma2=1.0)
+        res_car = kli_rate_car(sfcar_from_snr(snr, zeta, noise).taps(), noise)
+        res_sep = sfcar_rates(zeta, snr)
+        assert res_car.converged
+        assert res_car.kli_rate == pytest.approx(res_sep.kli_rate, rel=1e-14, abs=0)
+        assert res_car.mi_rate == pytest.approx(res_sep.mi_rate, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("w_dip", [0.7, 1.0, 2.2])
+    @pytest.mark.parametrize("depth", [1e-1, 1e-2, 1e-3])
+    def test_off_grid_dip_converges_to_the_finer_grid(self, w_dip, depth):
+        # a symbol that dips to depth between the grid nodes is not resolved
+        # at side 32: the grid doubles on until its pair agrees, and then
+        # the rates are those of the next grid to the tolerance
+        taps = dip_taps(w_dip, depth)
+        res = kli_rate_car(taps, NoiseModel(1.0))
+        assert res.converged and res.quadrature_points > 32
+        oi, oj, theta = taps.tap_arrays()
+        kli, mi, *_rest = _kernels_py.car_grid_sums(theta, oi, oj, 1.0, 2 * res.quadrature_points)
+        assert res.kli_rate == pytest.approx(kli, rel=1e-9, abs=0)
+        assert res.mi_rate == pytest.approx(mi, rel=1e-9, abs=0)
+
+    def test_unresolved_off_grid_dip_is_flagged(self):
+        res = kli_rate_car(dip_taps(2.2, 1e-6), NoiseModel(1.0),
+                           QuadratureSpec(max_points_per_axis=4096))
+        assert (res.quadrature_points, res.converged) == (4096, False)
 
     def test_kli_below_mi(self):
         res = kli_rate_car(CarCoefficients({(0, 0): 0.5, (1, 1): -0.1, (-1, -1): -0.1}),
