@@ -80,11 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     sigma2 = argparse.ArgumentParser(add_help=False)
     sigma2.add_argument("--sigma2", type=float, default=1.0)
     quad = argparse.ArgumentParser(add_help=False)
-    quad.add_argument("--quad-points", type=int, default=None,
-                      help="starting quadrature points per axis")
-    quad.add_argument("--quad-rtol", type=float, default=None,
+    quad.add_argument("--quad-rtol", type=float, default=DEFAULT_QUADRATURE.relative_tolerance,
                       help="quadrature relative tolerance")
-    quad.add_argument("--quad-max", type=int, default=None,
+    quad.add_argument("--quad-max", type=int, default=DEFAULT_QUADRATURE.max_points_per_axis,
                       help="maximum quadrature points per axis")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None, help="output file (default stdout)")
@@ -185,25 +183,16 @@ def _resolve_snr(args) -> float:
 
 
 def _resolve_quadrature(args) -> QuadratureSpec:
-    points, rtol, maxp, base = args.quad_points, args.quad_rtol, args.quad_max, DEFAULT_QUADRATURE
     try:
-        return QuadratureSpec(
-            points_per_axis=base.points_per_axis if points is None else points,
-            relative_tolerance=base.relative_tolerance if rtol is None else rtol,
-            # a budget derived from --quad-points holds the first pair of rules
-            max_points_per_axis=maxp if maxp is not None else max(
-                base.max_points_per_axis, 2 * (points or 0)),
-        )
+        return QuadratureSpec(args.quad_rtol, args.quad_max)
     except ValueError as exc:  # a refusal names the flags, not the fields
         message = str(exc).replace("max_points_per_axis", "--quad-max")
-        message = message.replace("points_per_axis", "--quad-points")
         raise ValueError(message.replace("relative_tolerance", "--quad-rtol")) from None
 
 
 def _quadrature_params(spec: QuadratureSpec) -> dict:
     # the spec that ran, as the flags that give it back through --config
-    return {"quad_points": spec.points_per_axis, "quad_rtol": spec.relative_tolerance,
-            "quad_max": spec.max_points_per_axis}
+    return {"quad_rtol": spec.relative_tolerance, "quad_max": spec.max_points_per_axis}
 
 
 def _require(args, *names):
@@ -364,10 +353,13 @@ def _experiment_flags(args) -> dict:
     """The flags the experiment reads, at their given or default values,
     the SNR resolved from --snr or --snr-db.  Raises ValueError naming the
     first experiment flag given that it does not read."""
-    reads = _EXPERIMENT_FLAGS[args.name]
+    reads, experiment = _EXPERIMENT_FLAGS[args.name], args.name
+    if args.name == "energy" and args.scenario == "fixed_area_sensing_sweep":
+        reads = tuple(name for name in reads if name != "es")  # each row sets E_s
+        experiment += f" --scenario {args.scenario}"
     for name in (*_EXPERIMENT_DEFAULTS, "snr_db"):
         if getattr(args, name) is not None and name.removesuffix("_db") not in reads:
-            raise ValueError(f"experiment {args.name} does not read "
+            raise ValueError(f"experiment {experiment} does not read "
                              f"--{name.replace('_', '-')}")
     flags = {name: _EXPERIMENT_DEFAULTS[name] if getattr(args, name) is None
              else getattr(args, name) for name in reads}
@@ -408,8 +400,9 @@ def _cmd_experiment(args) -> int:
             values = values or [10.0**e for e in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0)]
         else:
             values = values or [float(v) for v in _default_n_sweep()]
-        # the grid of the sensing sweep; the area sweep sets n in every row
-        base = NetworkConfig(n=64, spacing=flags["spacing"], sensing_energy=flags["es"],
+        # the grid of the sensing sweep; the area sweep sets n in every row,
+        # the sensing sweep E_s
+        base = NetworkConfig(n=64, spacing=flags["spacing"], sensing_energy=flags.get("es", 1.0),
                              comm_energy_coeff=flags["e0"], loss_exponent=flags["nu"],
                              snr_per_joule=flags["beta"], alpha=flags["alpha"])
         sweep, fit = exp_energy_scaling(base, flags["scenario"], values, spec)

@@ -296,12 +296,15 @@ def exp_snr_limits(zeta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
     sweep tabulates both regimes; the fit reports the low-SNR log-log
     exponents and the high-SNR increments normalized by (1/2) log of the
     SNR ratio.  At zeta = 1/4 every rate is exactly 0, so the low-SNR
-    exponents and r^2 are None.  The high-SNR points are HIGH_SNR.
+    exponents and r^2 are None.  The high-SNR points are HIGH_SNR, above
+    every low SNR.
     """
     low = sorted(float(s) for s in low_snr) or list(np.logspace(-4, -2, 7))
     high = list(HIGH_SNR)
     if len(low) < 4:
         raise ValueError("need at least 4 low-SNR points")
+    if low[-1] >= high[0]:
+        raise ValueError(f"low SNR {low[-1]!r} is not below the fixed high-SNR points {HIGH_SNR}")
     snrs = low + high
     results = require_converged(sfcar_rates_batch([sfcar_row(zeta, snr) for snr in snrs], spec))
     rows = [(snr, {"kli": res.kli_rate, "mi": res.mi_rate}) for snr, res in zip(snrs, results)]
@@ -332,7 +335,8 @@ def exp_energy_scaling(base: NetworkConfig, scenario: str,
     (information grows like log E; the logarithmic fit's slope estimates
     the n^2/2 prefactor).  'fixed_sensing_area_sweep' sweeps the grid side
     with spacing and sensing energy fixed (information grows like E^{2/3};
-    power-law fit).  The swept total energy must span >= 2 decades.
+    power-law fit).  The swept total energy must span >= 2 decades, and the
+    sensing sweep's SNR beta*E_s must exceed 1, as mi_over_half_log_e divides by its log.
     """
     if scenario not in ENERGY_SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -349,6 +353,10 @@ def exp_energy_scaling(base: NetworkConfig, scenario: str,
 
     points = [(v, replace(base, sensing_energy=v) if sensing else replace(base, n=int(v)))
               for v in values]
+    for v, config in points:
+        if sensing and not measurement_snr(config) > 1.0:
+            raise ValueError(f"sensing energy {v!r} gives beta*E_s = {measurement_snr(config)!r}, "
+                             "not above 1")
     sweep = _network_sweep("sensing_energy" if sensing else "n", points, spec, outputs)
     energies = sweep.column("energy")
     if _span_decades(energies) < 2.0:

@@ -22,13 +22,13 @@ down to the width sqrt(max(SNR/scale, 1 - 4 zeta)) of the spectral peak
 at w1 = 0, however small.  Every kernel call at n nodes returns the
 estimates of the rule and of its embedded n/2-node rule (its odd-indexed
 nodes), taken from the same integrand values.  The first call is at
-2 ``points_per_axis`` nodes, and the node count doubles until the pair of
-one call agrees to the relative tolerance: the same comparisons, and the
-same node counts, as successive calls at n/2 and n, one call fewer.  This
-holds down to rates at the bottom of the normal double range: the kernel
-keeps full relative precision there, so no regime needs a wider
-tolerance, an absolute floor or a separate branch.  At zeta = 1/4 exactly
-both rates are served as their closed-form limit 0.
+512 nodes (halved to fit the budget), and the node count doubles until
+the pair of one call agrees to the relative tolerance: the same
+comparisons, and the same node counts, as successive calls at n/2 and n,
+one call fewer.  This holds down to rates at the bottom of the normal
+double range: the kernel keeps full relative precision there, so no
+regime needs a wider tolerance, an absolute floor or a separate branch.
+At zeta = 1/4 exactly both rates are served as their closed-form limit 0.
 
 Every SFCAR rate goes through ``sfcar_rates_batch``, over rows
 (1 - 4 zeta, power scale, SNR): a sweep passes all its rows at once, a
@@ -43,10 +43,11 @@ n x n torus grid w = 2 pi k/n, the grid of the finite-lattice torus
 oracle, whose even-indexed nodes are the n/2 grid.  Each kernel call
 returns both grids' means from the same integrand values, so both rate
 paths share one doubling scheme, one kernel call per round, and so do
-the spacing gaps of ``sfcar_rate_gaps``.  Both start at side 32 (cut to
-the budget), as the rule converges exponentially on a periodic analytic
-integrand, and both form their integrands without cancellation, so one
-zero floor, the smallest normal double, serves every rate path.
+the spacing gaps of ``sfcar_rate_gaps``.  Both start at side 32 (halved
+to fit the budget: every size integrated is a power of two), as the rule
+converges exponentially on a periodic analytic integrand, and both form
+their integrands without cancellation, so one zero floor, the smallest
+normal double, serves every rate path.
 """
 
 import math
@@ -97,19 +98,20 @@ def kli_integrand(s):
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
-#: First torus-grid side (cut to the budget) of ``sfcar_rate_gaps`` and
-#: ``kli_rate_car``, whatever spec.points_per_axis is.
+#: First w1 node count of the SFCAR rates, and first torus-grid side of
+#: ``sfcar_rate_gaps`` and ``kli_rate_car``; each is halved to fit the budget.
+_SFCAR_START = 512
 _TORUS_START_SIDE = 32
 
 
-def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec,
-                    n: Optional[int] = None) -> List[RateResult]:
+def _doubling_rates(eval_sums, m: int, spec: QuadratureSpec, start: int) -> List[RateResult]:
     # the doubling quadrature of m rows at once: eval_sums(n, live) gives the
     # (kli, mi, kli_half, mi_half) estimates of the rows whose indices are in
-    # live, at n nodes and at n/2 nodes; a row whose pair agrees has
-    # converged, and each round doubles n for the rest, from the n given (cut
-    # to the budget) or 2 points_per_axis, which QuadratureSpec keeps within it
-    n = min(n or 2 * spec.points_per_axis, spec.max_points_per_axis)
+    # live, at n nodes and at n/2 nodes; a row whose pair agrees has converged,
+    # and n doubles for the rest, from the start halved until it fits the budget
+    n = start
+    while n > spec.max_points_per_axis:
+        n //= 2
     results: List[Optional[RateResult]] = [None] * m
     live = list(range(m))
     while live:
@@ -163,7 +165,7 @@ def sfcar_rates_batch(rows: Sequence[Tuple[float, float, float]],
             means = _kernels_py.sfcar_grid_sums([cs[j] for j in sel], [deltas[j] for j in sel], n)
             return [v.tolist() for v in means]
 
-        for i, res in zip(live, _doubling_rates(sums, len(live), spec)):
+        for i, res in zip(live, _doubling_rates(sums, len(live), spec, _SFCAR_START)):
             results[i] = res
     return results
 
@@ -225,8 +227,8 @@ def sfcar_rates_at_spacing(field: PhysicalField, snr: float,
 def sfcar_rate_gaps(rows: Sequence[Tuple[float, float, float]],
                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> List[RateResult]:
     """rate(zeta = 0) - rate(zeta) as kli_rate and mi_rate for each row (zeta,
-    rho, SNR) with alpha*d >= 3, from torus side 32 (its side 16 is within 2e-11
-    relative at alpha*d = 3); non-convergence is flagged on the result."""
+    rho, SNR) with alpha*d >= 3, from torus side 32 halved to fit the budget (side
+    16 is within 2e-11 relative at alpha*d = 3); non-convergence is flagged."""
     def sums(n, live):
         return [v.tolist() for v in _kernels_py.sfcar_gap_sums(*np.array(rows)[live].T, n)]
 
@@ -239,7 +241,7 @@ def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,
 
     Integrates the spectral integrands with s(w) = 1/(sigma^2 * symbol(w))
     where symbol is the precision cosine sum, on torus grids from side 32
-    whatever spec.points_per_axis is.  Raises ValueError if the symbol is
+    (halved to fit the budget).  Raises ValueError if the symbol is
     non-positive anywhere on the integration grid (invalid model);
     quadrature non-convergence is flagged on the result.
     """

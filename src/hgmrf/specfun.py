@@ -34,27 +34,22 @@ class NonConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Budget for the doubling quadrature of the rates.
+    """Tolerance and budget of the doubling quadrature of the rates.
 
-    points_per_axis is the starting node count of the one-axis (w1) tanh
-    rule of the symmetric first-order rates only; the 2-D torus grids start
-    at side 32, cut to the budget.  Each kernel call at n points also
-    returns the estimate of the n/2-point rule embedded in it, so the first
-    w1 call is at 2 points_per_axis and compares points_per_axis against
-    twice that; the count doubles until the pair of one call agrees to
-    relative_tolerance or it would exceed max_points_per_axis.  A budget
-    below 2 points_per_axis, which holds no pair, is refused.
+    Each rate path starts at its own size (512 w1 nodes of the symmetric
+    first-order rates, side 32 of the torus grids), halved until it fits
+    max_points_per_axis.  Each kernel call at n points also returns the
+    estimate of its embedded n/2-point rule, and n doubles until the pair
+    of one call agrees to relative_tolerance or would exceed the budget,
+    so every n is a power of two.  A budget below 16 is refused.
     """
 
-    points_per_axis: int = 256
     relative_tolerance: float = 1e-9
     max_points_per_axis: int = 4096
 
     def __post_init__(self):
-        if self.points_per_axis < 8:
-            raise ValueError("points_per_axis must be >= 8")
-        if self.max_points_per_axis < 2 * self.points_per_axis:
-            raise ValueError("max_points_per_axis must be >= 2 points_per_axis")
+        if self.max_points_per_axis < 16:
+            raise ValueError("max_points_per_axis must be >= 16")
         if not 0.0 < self.relative_tolerance <= 1e-2:
             raise ValueError("relative_tolerance must be in (0, 1e-2]")
 

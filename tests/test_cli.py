@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -56,8 +59,7 @@ class TestRatesCommand:
 
     def test_nonconvergence_exit_code(self, capsys):
         status, out, _ = run_cli(
-            ["rates", "--zeta", "0.24", "--snr", "1", "--quad-points", "8",
-             "--quad-max", "16", "--quad-rtol", "1e-12"],
+            ["rates", "--zeta", "0.24", "--snr", "1", "--quad-max", "16", "--quad-rtol", "1e-12"],
             capsys,
         )
         assert status == 2
@@ -85,27 +87,20 @@ class TestRatesCommand:
         assert float(row["kli"]) == pytest.approx(0.0965735902799726, abs=1e-9)
         assert float(row["mi"]) == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
 
-    def test_quad_points_alone_leave_a_pair_in_the_budget(self, capsys):
-        # the budget derived from --quad-points used to equal it, which holds
-        # no pair: a correct rate flagged converged=false, exit 2
-        status, out, _ = run_cli(["rates", "--zeta", "0.1", "--snr", "10",
-                                  "--quad-points", "4096"], capsys)
+    @pytest.mark.parametrize("budget, side", [("64", 64), ("300", 256), ("1000", 512)])
+    def test_budget_below_the_start_halves_it(self, capsys, budget, side):
+        # a budget below 512 used to be refused as holding no pair of rules
+        status, out, _ = run_cli(["rates", "--zeta", "0.1", "--snr", "10", "--quad-max", budget,
+                                  "--quad-rtol", "1e-2"], capsys)
         assert status == 0
         row = parse_single_row_csv(out)
-        assert (row["quad_max"], row["quadrature_points"], row["converged"]) == (
-            "8192", "8192", "true")
-
-    def test_budget_below_one_pair_is_refused(self, capsys):
-        status, out, err = run_cli(["rates", "--zeta", "0.1", "--snr", "10",
-                                    "--quad-max", "256"], capsys)
-        assert (status, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (row["quad_max"], row["quadrature_points"]) == (budget, str(side))
 
     @pytest.mark.parametrize("flags, message", [
-        (["--quad-points", "4"], "--quad-points must be >= 8"),
-        (["--quad-max", "256"], "--quad-max must be >= 2 --quad-points"),
+        (["--quad-max", "8"], "--quad-max must be >= 16"),
+        (["--quad-max", "15"], "--quad-max must be >= 16"),
         (["--quad-rtol", "0.1"], "--quad-rtol must be in (0, 1e-2]"),
-    ], ids=["quad-points", "quad-max", "quad-rtol"])
+    ], ids=["quad-max-8", "quad-max-15", "quad-rtol"])
     def test_quadrature_refusal_names_the_flag(self, capsys, flags, message):
         # these named the QuadratureSpec fields, e.g. max_points_per_axis
         status, out, err = run_cli(["rates", "--zeta", "0.1", "--snr", "10"] + flags, capsys)
@@ -199,13 +194,6 @@ class TestNetworkCommand:
         assert int(row["node_count"]) == 256
         assert float(row["total_kli"]) == pytest.approx(256 * float(row["per_node_kli"]))
 
-    def test_quad_points_alone_leave_a_pair_in_the_budget(self, capsys):
-        # this used to fail with "rate quadrature did not converge"
-        status, out, _ = run_cli(["network", "--n", "8", "--spacing", "1",
-                                  "--quad-points", "4096"], capsys)
-        assert status == 0
-        assert parse_single_row_csv(out)["quad_max"] == "8192"
-
     @pytest.mark.parametrize("command, rerun, written, config", [
         (["network", "--n", "64", "--spacing", "0.3"], ["network"], ["first"], "first"),
         (["experiment", "area"], ["experiment", "area"], ["first.csv", "first.json"],
@@ -216,7 +204,7 @@ class TestNetworkCommand:
         # the quadrature flags used to be left out of the params echo, so the
         # rerun integrated at the default spec: per_node_kli 0.0140326443
         # where the first run gave 0.0140326403
-        quad = ["--quad-points", "8", "--quad-rtol", "1e-2", "--format", "json"]
+        quad = ["--quad-max", "256", "--quad-rtol", "1e-2", "--format", "json"]
         assert main(command + quad + ["--out", str(tmp_path / "first")]) == 0
         assert main(rerun + ["--config", str(tmp_path / config), "--format", "json",
                              "--out", str(tmp_path / "again")]) == 0
@@ -224,7 +212,7 @@ class TestNetworkCommand:
             again = tmp_path / name.replace("first", "again")
             assert again.read_bytes() == (tmp_path / name).read_bytes()
         params = json.loads((tmp_path / config).read_text())["params"]
-        assert (params["quad_points"], params["quad_rtol"], params["quad_max"]) == (8, 0.01, 4096)
+        assert (params["quad_rtol"], params["quad_max"]) == (0.01, 256)
         assert "sigma2" not in params
 
     @pytest.mark.parametrize("command", [["network", "--n", "8", "--spacing", "1"],
@@ -239,6 +227,22 @@ class TestNetworkCommand:
         assert (status, out) == (1, "")
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             "error: unrecognized arguments: --sigma2=1.0"]
+
+    @pytest.mark.parametrize("command", [["rates", "--zeta", "0.1", "--snr", "10"],
+                                         ["network", "--n", "8", "--spacing", "1"],
+                                         ["experiment", "area"]])
+    def test_retired_quad_points_refused(self, tmp_path, capsys, command):
+        # each rate path owns its start: the starting size an older output
+        # file echoes is no flag, and the file is refused, not run without it
+        status, out, err = run_cli(command + ["--quad-points", "256"], capsys)
+        assert (status, out) == (1, "")
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"params": {"quad_points": 256, "quad_rtol": 1e-9,
+                                              "quad_max": 4096}}))
+        status, out, err = run_cli(command + ["--config", str(cfg)], capsys)
+        assert (status, out) == (1, "")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: unrecognized arguments: --quad-points=256"]
 
 
 class TestOutputContract:
@@ -289,12 +293,12 @@ class TestOutputContract:
         # main reuses one parser: a config run, a failed parse and an
         # --snr-db run must leave nothing behind for the runs after them
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"zeta": 0.2, "snr": 3.0, "quad_points": 64,
+        cfg.write_text(json.dumps({"zeta": 0.2, "snr": 3.0, "quad_max": 1024,
                                    "format": "json"}))
         out = str(tmp_path / "out")
         sequence = [
             ["rates", "--config", str(cfg), "--out", out],
-            ["rates", "--zeta", "0.1", "--quad-points", "32", "--format", "xml",
+            ["rates", "--zeta", "0.1", "--quad-max", "32", "--format", "xml",
              "--out", out],
             ["rates", "--zeta", "0.1", "--snr-db", "10", "--out", out],
             ["rates", "--config", str(cfg), "--out", out],
@@ -424,8 +428,7 @@ class TestExperimentWork:
         (DEFAULT_EXPERIMENTS[1], {"snr", "alpha", "area", "es", "e0", "values"}),
         (DEFAULT_EXPERIMENTS[2], {"snr", "alpha", "values"}),
         (DEFAULT_EXPERIMENTS[3], {"zeta", "values"}),
-        (DEFAULT_EXPERIMENTS[4], {"alpha", "beta", "spacing", "es", "e0", "nu", "scenario",
-                                  "values"}),
+        (DEFAULT_EXPERIMENTS[4], {"alpha", "beta", "spacing", "e0", "nu", "scenario", "values"}),
         (DEFAULT_EXPERIMENTS[5], {"alpha", "beta", "spacing", "es", "e0", "nu", "scenario",
                                   "values"}),
     ], ids=["area", "density", "spacing", "snr", "energy-sensing", "energy-area"])
@@ -435,7 +438,7 @@ class TestExperimentWork:
         # rerun from the echo reproduces the run byte for byte
         assert main(argv + ["--out", str(tmp_path / "first")]) == 0
         params = json.loads((tmp_path / "first.json").read_text())["params"]
-        assert set(params) == echoed | {"name", "quad_points", "quad_rtol", "quad_max"}
+        assert set(params) == echoed | {"name", "quad_rtol", "quad_max"}
         assert main(argv[:2] + ["--config", str(tmp_path / "first.json"),
                                 "--out", str(tmp_path / "again")]) == 0
         for suffix in (".csv", ".json"):
@@ -448,8 +451,7 @@ class TestExperimentCommand:
         out = tmp_path / "energy"
         status = main(
             ["experiment", "energy", "--scenario", "fixed_sensing_area_sweep",
-             "--values", "32,45,64,91,128,181,256",
-             "--quad-points", "128", "--out", str(out)]
+             "--values", "32,45,64,91,128,181,256", "--out", str(out)]
         )
         assert status == 0
         table = (tmp_path / "energy.csv").read_text()
@@ -490,6 +492,46 @@ class TestExperimentCommand:
         assert (status, out) == (1, "")
         assert err == f"error: experiment {name} does not read --{key}\n"
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_sensing_sweep_refuses_es(self, tmp_path, capsys, given):
+        # every row of the sensing sweep sets E_s: --es 2 was echoed and had
+        # no effect; the area sweep still reads it
+        argv = ["experiment", "energy", "--scenario", "fixed_area_sensing_sweep"]
+        if given == "flag":
+            argv += ["--es", "2"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"params": {"es": 2.0}}))
+            argv += ["--config", str(config)]
+        status, out, err = run_cli(argv + ["--out", str(tmp_path / "x")], capsys)
+        assert (status, out) == (1, "")
+        assert err == ("error: experiment energy --scenario fixed_area_sensing_sweep "
+                       "does not read --es\n")
+        assert list(tmp_path.glob("x.*")) == []
+        assert main(["experiment", "energy", "--es", "2", "--format", "json",
+                     "--out", str(tmp_path / "area")]) == 0
+        assert json.loads((tmp_path / "area.json").read_text())["params"]["es"] == 2.0
+
+    def test_sensing_sweep_refuses_snr_at_most_1(self, tmp_path, capsys):
+        # mi_over_half_log_e divides by (1/2) log(beta * E_s): this was a
+        # ZeroDivisionError at beta * E_s = 1, and negative below it
+        status, out, err = run_cli(["experiment", "energy", "--scenario",
+                                    "fixed_area_sensing_sweep", "--values", "1,10,100,1000",
+                                    "--out", str(tmp_path / "x")], capsys)
+        assert (status, out) == (1, "")
+        assert err == "error: sensing energy 1.0 gives beta*E_s = 1.0, not above 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_snr_refuses_low_snr_at_the_high_points(self, tmp_path, capsys):
+        # these increasing values used to fail as "parameter values must be
+        # strictly increasing": they collided with the fixed high-SNR points
+        status, out, err = run_cli(["experiment", "snr", "--values", "1e3,1e4,1e5,1e6",
+                                    "--out", str(tmp_path / "x")], capsys)
+        assert (status, out) == (1, "")
+        assert err == ("error: low SNR 1000000.0 is not below the fixed high-SNR points "
+                       "(1000.0, 10000.0, 100000.0)\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("values", ["", ", ,", []], ids=["empty", "blank", "config"])
     def test_empty_values_refused(self, tmp_path, capsys, values):
         # an empty --values used to run the default grid
@@ -509,15 +551,14 @@ class TestExperimentCommand:
         out = tmp_path / "spacing"
         assert main(["experiment", "spacing", "--values", "3,4,5,6", "--out", str(out)]) == 0
         params = json.loads((tmp_path / "spacing.json").read_text())["params"]
-        assert (params["quad_points"], params["quad_rtol"], params["quad_max"]) == (
-            DEFAULT_QUADRATURE.points_per_axis, DEFAULT_QUADRATURE.relative_tolerance,
-            DEFAULT_QUADRATURE.max_points_per_axis)
+        assert (params["quad_rtol"], params["quad_max"]) == (
+            DEFAULT_QUADRATURE.relative_tolerance, DEFAULT_QUADRATURE.max_points_per_axis)
 
     @pytest.mark.parametrize("argv", [["snr", "--zeta", "0.2499"], ["spacing"]],
                              ids=["snr", "spacing"])
     def test_unconverged_sweep_exits_2(self, tmp_path, capsys, argv):
         # these wrote rates flagged converged=false and exited 0
-        quad = ["--quad-points", "8", "--quad-max", "16", "--quad-rtol", "1e-12"]
+        quad = ["--quad-max", "16", "--quad-rtol", "1e-12"]
         status, out, err = run_cli(["experiment"] + argv + quad + ["--out", str(tmp_path / "x")],
                                    capsys)
         assert (status, out) == (2, "")
@@ -705,3 +746,23 @@ def test_any_float_gives_status_and_finite_output(form, data, fmt):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
     _assert_no_nonfinite_number(out.getvalue(), fmt)
+
+
+def _readme_sections(*titles):
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [section for section in re.split(r"^## ", text, flags=re.M)
+            if section.split("\n", 1)[0].strip() in titles]
+
+
+def test_readme_names_only_flags_the_parser_has():
+    # a retired flag, such as --quad-points, must not linger in the docs
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {option for sub in subparsers.choices.values()
+             for option in sub._option_string_actions}
+    sections = _readme_sections("CLI", "Numerical notes")
+    assert len(sections) == 2
+    named = {flag for section in sections
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section)}
+    assert "--quad-max" in named
+    assert sorted(named - flags) == []

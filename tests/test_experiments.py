@@ -21,8 +21,7 @@ from hgmrf.network import NetworkConfig, evaluate_network, node_rates_batch
 from hgmrf.physmap import PhysicalField, correlation_parameters
 from hgmrf.specfun import NonConvergenceError, QuadratureSpec
 
-FAST_QUAD = QuadratureSpec(points_per_axis=128, relative_tolerance=1e-8,
-                           max_points_per_axis=2048)
+FAST_QUAD = QuadratureSpec(relative_tolerance=1e-8, max_points_per_axis=2048)
 
 
 class TestFitPowerLaw:
@@ -211,6 +210,17 @@ class TestSnrLimits:
         with pytest.raises(ValueError):
             exp_snr_limits(0.1, FAST_QUAD, low_snr=[1e-4, 1e-3, 1e-2])
 
+    @pytest.mark.parametrize("low, named", [([1e3, 1e4, 1e5, 1e6], 1e6),
+                                            ([1e-3, 1e-2, 1e-1, 1e3], 1e3)])
+    def test_low_snr_at_the_high_points_refused(self, monkeypatch, low, named):
+        # this failed as "parameter values must be strictly increasing" after
+        # integrating every rate
+        monkeypatch.setattr(experiments, "sfcar_rates_batch", None)
+        message = (f"^low SNR {named!r} is not below the fixed high-SNR points "
+                   r"\(1000\.0, 10000\.0, 100000\.0\)$")
+        with pytest.raises(ValueError, match=message):
+            exp_snr_limits(0.1, FAST_QUAD, low_snr=low)
+
 
 class TestEnergyScaling:
     BASE = NetworkConfig(n=64, spacing=2.0, sensing_energy=1.0, comm_energy_coeff=1.0,
@@ -233,6 +243,16 @@ class TestEnergyScaling:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="scenario"):
             exp_energy_scaling(self.BASE, "bogus", [1, 2, 3, 4], FAST_QUAD)
+
+    @pytest.mark.parametrize("values, named", [([1.0, 10.0, 100.0, 1000.0], "1.0"),
+                                               ([0.5, 10.0, 100.0, 1000.0], "0.5")])
+    def test_sensing_sweep_refuses_snr_at_most_1(self, monkeypatch, values, named):
+        # mi_over_half_log_e divides by (1/2) log(beta * E_s): 0 at 1 (a
+        # ZeroDivisionError), negative below; refused before any rate is integrated
+        monkeypatch.setattr(experiments, "node_rates_batch", None)
+        with pytest.raises(ValueError, match=f"^sensing energy {named} gives beta\\*E_s = "
+                                             f"{named}, not above 1$"):
+            exp_energy_scaling(self.BASE, "fixed_area_sensing_sweep", values, FAST_QUAD)
 
     def test_narrow_energy_span_rejected(self):
         with pytest.raises(ValueError, match="decades"):

@@ -143,7 +143,7 @@ class TestEvaluateNetwork:
 
     def test_unconverged_rate_raises(self):
         config = NetworkConfig(n=8, spacing=0.02, alpha=1.0)
-        spec = QuadratureSpec(points_per_axis=8, max_points_per_axis=16)
+        spec = QuadratureSpec(max_points_per_axis=16)
         with pytest.raises(NonConvergenceError):
             evaluate_network(config, spec)
 
@@ -184,7 +184,7 @@ class TestRatesApartFromAccounting:
     def test_node_rates_refuses_as_evaluate_network(self):
         zero = NetworkConfig(n=8, spacing=1.0, sensing_energy=0.0)
         unconverged = NetworkConfig(n=8, spacing=0.02, alpha=1.0)
-        spec = QuadratureSpec(points_per_axis=8, max_points_per_axis=16)
+        spec = QuadratureSpec(max_points_per_axis=16)
         for evaluate in (node_rates, evaluate_network):
             with pytest.raises(ValueError, match="^zero-SNR network: sensing energy must be "
                                                  "positive$"):

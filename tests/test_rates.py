@@ -91,7 +91,7 @@ class TestSfcarRates:
             assert fd == pytest.approx(curvature, rel=0.05)
 
     def test_nonconvergence_flagged_not_raised(self):
-        res = sfcar_rates(0.24, 1.0, QuadratureSpec(8, 1e-12, 16))
+        res = sfcar_rates(0.24, 1.0, QuadratureSpec(1e-12, 16))
         assert not res.converged
         assert res.quadrature_points == 16
 
@@ -99,7 +99,7 @@ class TestSfcarRates:
         # rates ~1e-80 and ~1e-78 are not converged zeros: 8 and 16 nodes
         # cannot reach the ~1e-39-wide peak, and no absolute floor may
         # pass them
-        res = sfcar_rates_at_spacing(PhysicalField(1.0, 1e-40), 1.0, QuadratureSpec(8, 1e-9, 16))
+        res = sfcar_rates_at_spacing(PhysicalField(1.0, 1e-40), 1.0, QuadratureSpec(1e-9, 16))
         assert not res.converged
 
     def test_validation(self):
@@ -142,18 +142,19 @@ def kernel_calls(monkeypatch):
 
 
 class TestBatchedRows:
-    SPEC = QuadratureSpec(points_per_axis=64, relative_tolerance=1e-9, max_points_per_axis=512)
-    #: Rows converging at 128 and at 512 nodes, two whose SNR/scale is 0
-    #: (zeta = 1/4, and an SNR that underflows against its scale), and one
-    #: (alpha*d = 1e-100, which needs 2048 nodes) unconverged at 512.
-    ROWS = (sfcar_row(0.0, 10.0), sfcar_row(0.2, 1.0), sfcar_row(0.25 * (1.0 - 4.1e-4), 1.0),
-            sfcar_row(0.25, 1.0), (0.5, 2.0, 5e-324),
+    SPEC = QuadratureSpec(relative_tolerance=1e-9, max_points_per_axis=1024)
+    #: Rows converging at 512 nodes and (alpha*d = 1e-40) in the second
+    #: round at 1024, two whose SNR/scale is 0 (zeta = 1/4, and an SNR that
+    #: underflows against its scale), and one (alpha*d = 1e-100, which needs
+    #: 2048 nodes) unconverged at 1024.
+    ROWS = (sfcar_row(0.0, 10.0), sfcar_row_at_spacing(PhysicalField(1.0, 1e-40), 10.0),
+            sfcar_row(0.25 * (1.0 - 4.1e-4), 1.0), sfcar_row(0.25, 1.0), (0.5, 2.0, 5e-324),
             sfcar_row_at_spacing(PhysicalField(1.0, 1e-100), 10.0), sfcar_row(0.1, 1e-3))
 
     def test_rows_reach_every_outcome(self):
         results = sfcar_rates_batch(self.ROWS, self.SPEC)
         assert [(r.quadrature_points, r.converged) for r in results] == [
-            (128, True), (512, True), (512, True), (0, True), (0, True), (512, False),
+            (512, True), (1024, True), (512, True), (0, True), (0, True), (1024, False),
             (512, True)]
         assert results[3] == results[4] == RateResult(0.0, 0.0, 0, True)
 
@@ -175,10 +176,10 @@ class TestBatchedRows:
 
     def test_each_round_integrates_only_the_unconverged_rows(self, kernel_calls):
         sfcar_rates_batch(self.ROWS, self.SPEC)
-        # the two zero rows never reach the kernel; the first call, at 128
-        # nodes, compares 64 against 128 by the embedded rule, and the
-        # zeta = 0 row stops there
-        assert kernel_calls == [(5, 128), (4, 256), (4, 512)]
+        # the two zero rows never reach the kernel; the first call, at 512
+        # nodes, compares 256 against 512 by the embedded rule, and three
+        # rows stop there
+        assert kernel_calls == [(5, 512), (2, 1024)]
 
     def test_one_kernel_call_for_a_converging_query(self, kernel_calls):
         # the first call carries its own error estimate: a query that
@@ -382,12 +383,13 @@ class TestOneDimensionalPathAccuracy:
 
 
 @pytest.fixture
-def car_sides(monkeypatch):
-    """The grid side of each ``car_grid_sums`` call the test makes."""
+def kernel_sides(monkeypatch):
+    """The node count or grid side of each call to the three rate kernels."""
     sides = []
-    kernel = _kernels_py.car_grid_sums
-    monkeypatch.setattr(_kernels_py, "car_grid_sums",
-                        lambda *args: sides.append(args[-1]) or kernel(*args))
+    for name in ("sfcar_grid_sums", "sfcar_gap_sums", "car_grid_sums"):
+        kernel = getattr(_kernels_py, name)
+        monkeypatch.setattr(_kernels_py, name,
+                            lambda *args, kernel=kernel: sides.append(args[-1]) or kernel(*args))
     return sides
 
 
@@ -427,14 +429,14 @@ class TestGeneralCarCrossValidation:
         # grids compared against their own offset-1/4 half would agree there
         noise = NoiseModel(sigma2=1.0)
         res = kli_rate_car(sfcar_from_snr(10.0, 0.2499, noise).taps(), noise,
-                           QuadratureSpec(8, 1e-9, 16))
+                           QuadratureSpec(1e-9, 16))
         assert (res.quadrature_points, res.converged) == (16, False)
 
-    def test_each_grid_side_is_integrated_once(self, car_sides):
+    def test_each_grid_side_is_integrated_once(self, kernel_sides):
         noise = NoiseModel(sigma2=1.0)
         res = kli_rate_car(sfcar_from_snr(10.0, 0.2499, noise).taps(), noise,
-                           QuadratureSpec(8, 1e-9, 64))
-        assert sorted(car_sides) == [32, 64]
+                           QuadratureSpec(1e-9, 64))
+        assert sorted(kernel_sides) == [32, 64]
         assert (res.quadrature_points, res.converged) == (64, False)
 
     @pytest.mark.parametrize("taps, sigma2", [
@@ -447,12 +449,12 @@ class TestGeneralCarCrossValidation:
                      id=f"second-order-{sigma2}")
         for sigma2 in (0.1, 10.0)
     ])
-    def test_smooth_fields_stop_by_side_64(self, car_sides, taps, sigma2):
+    def test_smooth_fields_stop_by_side_64(self, kernel_sides, taps, sigma2):
         # the fields of the oracle cross-checks: on a periodic analytic
         # integrand the torus rule converges exponentially, so no grid
         # beyond side 64 is integrated at the default spec
         assert kli_rate_car(taps, NoiseModel(sigma2)).converged
-        assert max(car_sides) <= 64
+        assert max(kernel_sides) <= 64
 
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.24])
     @pytest.mark.parametrize("snr", [1e-10, 1e-3, 10.0])
@@ -562,7 +564,29 @@ class TestSpacingGaps:
         assert gaps.mi_rate == pytest.approx(base.mi_rate - rates.mi_rate, rel=1e-12, abs=0)
 
     def test_unconverged_within_a_small_budget_is_flagged(self):
-        # the first call is at side 32, or at the budget where that is smaller
-        spec = QuadratureSpec(points_per_axis=8, relative_tolerance=1e-12, max_points_per_axis=16)
+        # the first call is at side 32, halved to a budget below it
+        spec = QuadratureSpec(relative_tolerance=1e-12, max_points_per_axis=16)
         gaps = sfcar_rate_gaps([_gap_row(3.0, 10.0)], spec)[0]
         assert (gaps.converged, gaps.quadrature_points) == (False, 16)
+
+
+class TestStartHalvedToTheBudget:
+    PATHS = {
+        "sfcar": lambda spec: [sfcar_rates(0.2499, 1.0, spec)],
+        "car": lambda spec: [kli_rate_car(sfcar_from_snr(10.0, 0.2499, NoiseModel(1.0)).taps(),
+                                          NoiseModel(1.0), spec)],
+        "gaps": lambda spec: sfcar_rate_gaps([_gap_row(3.0, 10.0)], spec),
+    }
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_every_side_is_a_power_of_two_within_the_budget(self, kernel_sides, path):
+        # a torus budget of 17 to 31 used to integrate that side itself, whose
+        # "half grid" is no rule; each start is now halved until it fits
+        results = {}
+        for budget in (16, 17, 31, 300, 3000):
+            kernel_sides.clear()
+            results[budget] = self.PATHS[path](QuadratureSpec(max_points_per_axis=budget))
+            assert kernel_sides, budget
+            for n in kernel_sides:
+                assert n & (n - 1) == 0 and 16 <= n <= budget, (budget, kernel_sides)
+        assert results[17] == results[31] == results[16]

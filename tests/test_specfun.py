@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -128,10 +129,10 @@ class TestQuadratureSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"points_per_axis": 4},
-            {"points_per_axis": 64, "max_points_per_axis": 32},
-            # no pair of rules fits below 2 points_per_axis
-            {"points_per_axis": 256, "max_points_per_axis": 511},
+            # no rate path is integrated below side 16
+            {"max_points_per_axis": 0},
+            {"max_points_per_axis": 8},
+            {"max_points_per_axis": 15},
             {"relative_tolerance": 0.0},
             {"relative_tolerance": 0.5},
         ],
@@ -139,3 +140,9 @@ class TestQuadratureSpec:
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+    def test_a_tolerance_and_a_budget(self):
+        # each rate path owns its start: the spec holds no starting size
+        assert [field.name for field in dataclasses.fields(QuadratureSpec)] == [
+            "relative_tolerance", "max_points_per_axis"]
+        assert QuadratureSpec(max_points_per_axis=16).max_points_per_axis == 16
