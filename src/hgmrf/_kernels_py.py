@@ -42,7 +42,7 @@ _SFCAR_BLOCK_ELEMS = 3 << 11
 _HALF_SINH_SERIES = tuple(0.5 / math.factorial(2 * k + 3) for k in range(10))
 
 
-@functools.lru_cache(maxsize=16)  # a sweep uses a few node counts, 256 * 2^k
+@functools.lru_cache(maxsize=16)  # a sweep uses a few node counts, 512 * 2^k
 def _node_steps(n: int) -> np.ndarray:
     # 1, 2, ..., n in a row: the unit grid the tanh rule's nodes are scaled from
     k = np.arange(1, n + 1, dtype=np.float64).reshape(1, n)
@@ -259,7 +259,9 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
     rows.  Where the symbol is not positive, s = 0 leaves the cell out.
     For t = log1p(s) < 1 the KLI (t - 1 + e^-t)/2 is sinh^2(t/2) -
     (sinh t - t)/2, as in ``sfcar_gap_sums``: no cancellation at low SNR,
-    for ~8x the work per cell of the oracle's ``_integrands``.
+    for ~8x the work per cell of the oracle's ``_integrands``.  A row block
+    takes that form only if it has such cells, and the plain one only if it
+    has cells with t >= 1; each cell's value is the same either way.
     """
     if n < 2:
         raise ValueError("grid side must be >= 2")
@@ -278,8 +280,13 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
         s = 1.0 / (sigma2 * den)
         t = np.log1p(s)
         q = s / (1.0 + s)  # 1 - e^-t, and s q/4 = sinh^2(t/2)
-        kli = np.where(t < 1.0, 0.25 * s * q - _half_sinh_minus_x(np.minimum(t, 1.0)),
-                       0.5 * (t - q))
+        if t.min() >= 1.0:
+            kli = 0.5 * (t - q)
+        elif t.max() < 1.0:
+            kli = 0.25 * s * q - _half_sinh_minus_x(t)
+        else:
+            kli = np.where(t < 1.0, 0.25 * s * q - _half_sinh_minus_x(np.minimum(t, 1.0)),
+                           0.5 * (t - q))
         return kli, 0.5 * t
 
     half = np.zeros(n)

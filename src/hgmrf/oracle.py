@@ -15,7 +15,10 @@ on the torus a rectangle rule whose n -> infinity limit is the spectral
 integral on the grid of ``_kernels_py.car_grid_sums`` -- taken by the
 kernels' one weighted 2-D block sum.  A Monte
 Carlo log-likelihood-ratio simulation under the noise-only hypothesis
-verifies the almost-sure limit the KLI rate is defined by.
+verifies the almost-sure limit the KLI rate is defined by.  It draws the
+periodogram of the torus's white noise from its law, chi^2_1 on the
+self-conjugate bins and one Exp(1) per conjugate pair: n^2/2 + 2 gamma
+draws per replicate for even n, (n^2 + 1)/2 for odd n, and no transform.
 """
 
 import math
@@ -129,40 +132,52 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
                         mc: MonteCarloSpec):
     """Monte Carlo mean and standard error of the per-node LLR under noise.
 
-    Draws Y ~ N(0, sigma^2 I), transforms with the unitary 2-D DFT, and
-    accumulates the exact per-bin log-likelihood ratio between the
-    noise-only and signal-plus-noise torus models:
+    The exact log-likelihood ratio between the noise-only and
+    signal-plus-noise torus models of Y ~ N(0, sigma^2 I) is, per node,
+    sum_kl (0.5 log1p(s_kl) - g_kl P_kl)/n^2, with g = 0.5 s/(1+s),
+    s_kl = 1/(q_kl sigma^2) and P_kl the periodogram of Y/sigma under the
+    unitary 2-D DFT.  That is the periodogram of real white noise, whose law
+    is known: a self-conjugate bin (k, l in {0, n/2}; for odd n only (0, 0))
+    has P = chi^2_1 = 2 Gamma(1/2), and the two bins of a conjugate pair
+    share one P = Exp(1) = Gamma(1), all independent.  s_kl is even in k
+    and l, so the bins fold onto the quarter grid of ``_mirror_weights``,
+    and a replicate is
 
-        llr_bin = 0.5 log(1+s_kl) - 0.5 |Yhat_kl|^2 s_kl / (sigma^2 (1+s_kl)),
+        (0.5 sum_cells m log1p(s) - sum_slots s/(1+s) G_slot)/n^2,
 
-    s_kl = 1/(q_kl sigma^2), with Y = sigma Z drawn as Z.  Z is real, so its
-    spectrum is Hermitian, and s_kl is even: the sum runs over the real-input
-    FFT's columns l = 0..n//2, weighted like the torus cosines.  The replicate
-    mean converges almost surely to the finite-lattice KLI.  Every replicate
-    draws its n x n standard normals in turn from one Philox stream seeded
-    with mc.seed, so the result is bit-identical for a given seed and numpy
-    version.  Each block of replicates (_BLOCK_ELEMS cells, or one
-    replicate) is one draw and one FFT, which changes no bit.  Requires
-    replicates >= 2 for a standard error.
+    a cell of multiplicity m holding m/2 pairs, or one self-conjugate bin
+    if m = 1: n^2/2 + 2 gamma draws for even n, (n^2 + 1)/2 for odd n, and
+    no transform.  The replicate mean converges almost surely to the
+    finite-lattice KLI.  The replicates draw in turn from one Philox stream
+    seeded with mc.seed, so the result is bit-identical for a given seed
+    and numpy version.  Each block of replicates (_BLOCK_ELEMS draws, or one
+    replicate) is one call, which reads each replicate's draws in a row, and
+    each replicate is reduced by itself, so the block size changes no bit.
+    The spread is taken of the values divided by their largest magnitude,
+    then scaled back: the values are about SNR/n, and their squares leave
+    the normal doubles below SNR ~ 1e-150.  Requires replicates >= 2 for a
+    standard error.
     """
     if mc.replicates < 2:
         raise ValueError("at least 2 replicates are needed for a standard error")
     _check_side(n)
-    c = _cosines(n, "torus")
-    col = _mirror_weights(n)
-    s = _bin_snrs(params, noise, c, c[: col.size])
-    log_term = float(np.sum(0.5 * np.log1p(s) @ col))
-    weight = 0.5 * s / (1.0 + s) * col
+    mult = np.multiply.outer(_mirror_weights(n), _mirror_weights(n)).ravel()
+    # the slots, cell by cell: the gamma shape and the cell of each
+    cells = np.repeat(np.arange(mult.size), np.maximum(mult // 2, 1).astype(np.intp))
+    shapes = np.where(mult[cells] == 1.0, 0.5, 1.0)
+    c = _cosines(n, "torus")[: n // 2 + 1]
+    s = _bin_snrs(params, noise, c, c).ravel()
+    log_term = float(0.5 * np.sum(mult * np.log1p(s)))
+    weight = (s / (1.0 + s))[cells]
     norm = float(n * n)
     gen = np.random.Generator(np.random.Philox(mc.seed))
     values = np.empty(mc.replicates)
-    step = max(1, _kernels_py._BLOCK_ELEMS // (n * n))
+    step = max(1, _kernels_py._BLOCK_ELEMS // shapes.size)
     for lo in range(0, mc.replicates, step):
         block = min(step, mc.replicates - lo)
-        spectrum = np.fft.rfft2(gen.standard_normal((block, n, n)), norm="ortho")
-        power = spectrum.real**2 + spectrum.imag**2
-        power *= weight
-        values[lo:lo + block] = (log_term - np.sum(power.reshape(block, -1), axis=1)) / norm
+        draws = gen.standard_gamma(shapes, size=(block, shapes.size))
+        draws *= weight
+        values[lo:lo + block] = (log_term - np.sum(draws, axis=1)) / norm
     mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(mc.replicates))
-    return mean, stderr
+    scale = float(np.max(np.abs(values)))
+    return mean, float(np.std(values / scale, ddof=1)) * scale / math.sqrt(mc.replicates)

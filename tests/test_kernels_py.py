@@ -179,6 +179,24 @@ def test_car_grid_is_the_torus_oracle(n):
     assert mi == pytest.approx(exact.mi_rate, rel=1e-14, abs=0)
 
 
+@pytest.mark.parametrize("zeta, snr, low_cells, pinned", [
+    (0.1, 1e3, "none", (2.9438508727881043, 3.44332941080877, 2.943850872788105,
+                        3.4433294108087695, 0.0006264338047737175)),
+    (0.1, 1e-3, "all", (2.613761063350431e-07, 0.0004997384326842553, 2.613761063350662e-07,
+                        0.0004997384326842576, 626.4338047737174)),
+    (0.24, 1.0, "some", (0.0872530782828577, 0.29313428491208093, 0.08726659966867686,
+                         0.29314780630758924, 0.06858032244666035)),
+])
+def test_car_kli_branch_per_block_keeps_the_bits(zeta, snr, low_cells, pinned):
+    # one row block at side 32 whose cells all have t = log1p(s) >= 1, all
+    # t < 1, or both: the values of the form chosen cell by cell, pinned
+    oi, oj, theta = sfcar_from_snr(snr, zeta, NoiseModel(1.0)).taps().tap_arrays()
+    w = _kernels_py.torus_grid(32)
+    low = np.log1p(1.0 / _kernels_py.car_symbol(theta, oi, oj, w, w)) < 1.0
+    assert {"none": not low.any(), "all": low.all(), "some": 0 < low.sum() < low.size}[low_cells]
+    assert _kernels_py.car_grid_sums(theta, oi, oj, 1.0, 32) == pinned
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_separable_symbol_matches_direct_cosine_sum(seed):
     rng = np.random.default_rng(seed)

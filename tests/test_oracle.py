@@ -193,20 +193,36 @@ class TestMonteCarloLlr:
         # the seeded Philox stream and the reduction order fix every bit
         spec = MonteCarloSpec(replicates=50, seed=987654321)
         got = sample_llr_per_node(sfcar_from_snr(10.0, 0.1), NoiseModel(1.0), 16, spec)
-        assert got == (0.7435574296504085, 0.005000156321251557)
+        assert got == (0.735795104396167, 0.005201885422553721)
 
     @pytest.mark.parametrize("n", [15, 16])
     def test_matches_full_spectrum_replay(self, n):
-        # the same Philox stream through the complex 2-D DFT, every bin summed
+        # the same Philox draws put back on all n^2 bins: a conjugate pair's
+        # Exp(1) power on both of its bins, chi^2_1 = 2 Gamma(1/2) on each
+        # self-conjugate bin, and every bin's LLR term summed
         noise = NoiseModel(1.0)
         params = sfcar_from_snr(10.0, 0.1, noise)
         spec = MonteCarloSpec(replicates=20, seed=2718)
         c = np.cos(2.0 * np.pi * np.arange(n) / n)
         s = 1.0 / (params.kappa * (1.0 - 0.2 * c[:, None] - 0.2 * c[None, :]))
+        orbits = []  # the conjugate orbits of each quarter-grid cell, cell by cell
+        for k in range(n // 2 + 1):
+            for l in range(n // 2 + 1):
+                bins = {(a % n, b % n) for a in (k, -k) for b in (l, -l)}
+                cell = []
+                for a, b in sorted(bins):
+                    orbit = sorted({(a, b), (-a % n, -b % n)})
+                    if orbit not in cell:
+                        cell.append(orbit)
+                orbits.extend(cell)
+        shapes = np.array([0.5 if len(orbit) == 1 else 1.0 for orbit in orbits])
         gen = np.random.Generator(np.random.Philox(spec.seed))
         values = []
         for _ in range(spec.replicates):
-            power = np.abs(np.fft.fft2(gen.standard_normal((n, n)), norm="ortho")) ** 2
+            power = np.zeros((n, n))
+            for orbit, draw in zip(orbits, gen.standard_gamma(shapes, size=shapes.size)):
+                for a, b in orbit:
+                    power[a, b] = 2.0 * draw if len(orbit) == 1 else draw
             values.append(np.mean(0.5 * np.log1p(s) - 0.5 * s / (1.0 + s) * power))
         mean, stderr = sample_llr_per_node(params, noise, n, spec)
         assert mean == pytest.approx(np.mean(values), rel=1e-13, abs=0)
@@ -214,9 +230,68 @@ class TestMonteCarloLlr:
         assert stderr == pytest.approx(want_stderr, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("n", [15, 16, 64, 65])
+    def test_law_matches_transformed_draws(self, n):
+        # the periodogram's law against the periodogram itself: real white
+        # noise drawn and transformed by the unitary FFT, the LLR summed over
+        # every bin.  Both means agree, and both replicate variances match
+        # the exact 2 sum g^2/n^4 within a 5-sigma chi^2 bound
+        noise = NoiseModel(1.0)
+        params = sfcar_from_snr(10.0, 0.1, noise)
+        reps = 4000
+        c = np.cos(2.0 * np.pi * np.arange(n) / n)
+        s = 1.0 / (params.kappa * (1.0 - 0.2 * c[:, None] - 0.2 * c[None, :]))
+        g = 0.5 * s / (1.0 + s)
+        gen = np.random.Generator(np.random.Philox(31415))
+        values = np.concatenate([
+            np.mean(0.5 * np.log1p(s) - g * np.abs(np.fft.fft2(
+                gen.standard_normal((200, n, n)), norm="ortho")) ** 2, axis=(1, 2))
+            for _ in range(reps // 200)])
+        fft_mean, fft_stderr = np.mean(values), np.std(values, ddof=1) / math.sqrt(reps)
+        mean, stderr = sample_llr_per_node(params, noise, n, MonteCarloSpec(reps, 27182))
+        assert abs(mean - fft_mean) <= 4.0 * math.hypot(stderr, fft_stderr)
+        exact_var = 2.0 * np.sum(g * g) / n**4
+        dof = reps - 1
+        # Wilson-Hilferty quantiles of chi^2 with dof degrees of freedom
+        lo, hi = (dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
+                  for z in (-5.0, 5.0))
+        for sample_var in (fft_stderr**2 * reps, stderr**2 * reps):
+            assert lo <= dof * sample_var / exact_var <= hi
+
+    def test_fold_counts_every_bin_once(self, monkeypatch):
+        # a generator that returns each draw's expectation, Gamma(k) -> k,
+        # turns every replicate into the finite-lattice KLI: each of the n^2
+        # bins enters once, with its power's mean 1
+        class Expectation:
+            def __init__(self, bit_generator):
+                pass
+
+            def standard_gamma(self, shape, size):
+                return np.array(np.broadcast_to(shape, size), dtype=np.float64)
+
+        noise = NoiseModel(1.0)
+        params = sfcar_from_snr(10.0, 0.1, noise)
+        want = [finite_lattice_rates(params, noise, LatticeSpec(n)).kli_rate for n in range(2, 41)]
+        monkeypatch.setattr(np.random, "Generator", Expectation)
+        for n, kli in zip(range(2, 41), want):
+            mean, stderr = sample_llr_per_node(params, noise, n, MonteCarloSpec(3, 1))
+            assert (mean, stderr) == (pytest.approx(kli, rel=1e-13, abs=0), 0.0)
+
+    def test_stderr_scales_with_snr_down_to_underflow(self):
+        # the replicate values are about SNR/n: their squares underflow
+        # below SNR ~ 1e-150, so the spread is taken of scaled values
+        noise = NoiseModel(1.0)
+        ratios = []
+        for snr in (1e-120, 1e-160, 1e-200, 1e-300):
+            _mean, stderr = sample_llr_per_node(sfcar_from_snr(snr, 0.1, noise), noise, 64,
+                                                MonteCarloSpec(50, 7))
+            ratios.append(stderr / snr)
+        assert ratios[0] > 0.0
+        assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [15, 16, 64, 65])
     def test_replicate_blocks_do_not_change_a_bit(self, monkeypatch, n):
-        # one replicate per block is the draw-and-transform of each replicate
-        # in turn; one block holds every replicate
+        # one replicate per block draws each replicate in turn; one block
+        # holds every replicate
         params = sfcar_from_snr(10.0, 0.1)
         spec = MonteCarloSpec(replicates=33, seed=4242)
         want = sample_llr_per_node(params, NoiseModel(1.0), n, spec)
@@ -250,8 +325,8 @@ class TestMonteCarloLlr:
         assert hits >= 99
 
     def test_parseval_noise_power(self):
-        # DFT-domain replicate power must average sigma^2 per bin, drawn as
-        # sample_llr_per_node draws its replicates
+        # the unitary DFT keeps white noise white: its periodogram averages
+        # sigma^2 per bin, the mean power the Monte Carlo law draws
         gen = np.random.Generator(np.random.Philox(314159))
         sigma2 = 2.0
         total = 0.0
