@@ -4,10 +4,12 @@
 alone, the w2 integral being closed-form, for many rows of (SNR/scale,
 1 - 4 zeta) at once: in blocks of rows of at most 6144 cells, each row
 reduced by itself.  ``_weighted_grid_means`` is the one weighted 2-D mean
-of a (KLI, MI) integrand pair, in cache-sized row blocks, under one or
-more row and column weightings: of a general CAR symbol on the torus grid
-w = 2 pi k/n (``car_grid_sums``), of the spacing gaps (``sfcar_gap_sums``)
-and of the finite-lattice eigenvalues (``oracle.finite_lattice_rates``).
+of a (KLI, MI) integrand pair, in row blocks small enough for the heap to
+serve, under one or more row and column weightings: of the spacing gaps
+(``sfcar_gap_sums``) and of ``_integrands``, the one cancellation-free
+(KLI, MI) integrand, on a general CAR symbol on the torus grid
+w = 2 pi k/n (``car_grid_sums``) and on the finite-lattice eigenvalues
+(``oracle.finite_lattice_rates``).
 The quadrature kernels return, beside their n-node means, the means of the
 n/2-node rule embedded in their nodes, from the same integrand values:
 the error estimate the doubling quadrature compares, one call a round.
@@ -19,9 +21,10 @@ import math
 
 import numpy as np
 
-# Rows per block are chosen so a block never exceeds 32K doubles: each of its
-# ~6 temporaries (256 KB) stays in a core's L2 cache, where 2^18 ran 3x slower.
-_BLOCK_ELEMS = 1 << 15
+# Rows per block are chosen so a block never exceeds 8K doubles: each of its
+# few temporaries (64 KB) then stays below glibc's default 128 KB mmap
+# threshold, so the heap serves it again rather than the kernel afresh.
+_BLOCK_ELEMS = 1 << 13
 
 #: The w1 rule runs x = log tan(w1/2) down from this value, where
 #: pi - w1 ~ 2 exp(-x) leaves out less than 1e-16 of the average.
@@ -40,6 +43,12 @@ _SFCAR_BLOCK_ELEMS = 3 << 11
 #: 1/(2 (2k+3)!): (sinh(x) - x)/2 = x^3 sum_k x^(2k)/(2 (2k+3)!), truncated
 #: where the next term is below 1e-19 relative for x < 1.
 _HALF_SINH_SERIES = tuple(0.5 / math.factorial(2 * k + 3) for k in range(10))
+
+#: The largest |t| at which k = 3..7 terms of the series leave out less than
+#: 2^-54 of the KLI s q/4 - (sinh t - t)/2 >= t^2/6 (|t| <= 1) of
+#: ``_integrands``: 3 |t|^(2k+1)/(2k+3)! bounds the share; 8 terms reach 1.05.
+_HALF_SINH_REACH = tuple((2.0**-54 * math.factorial(2 * k + 3) / 3.0) ** (1.0 / (2 * k + 1))
+                         for k in range(3, 8))
 
 
 @functools.lru_cache(maxsize=16)  # a sweep uses a few node counts, 512 * 2^k
@@ -86,14 +95,15 @@ def _tanh_rule(n: int, stop, step):
     return e / one_plus_e, weights
 
 
-def _half_sinh_minus_x(x: np.ndarray) -> np.ndarray:
-    # (sinh(x) - x)/2, valid for |x| <= 1: Horner's rule in x^2, in place
+def _half_sinh_minus_x(x: np.ndarray, terms: int = len(_HALF_SINH_SERIES)) -> np.ndarray:
+    # (sinh(x) - x)/2 for |x| <= 1: Horner's rule in x^2 on terms >= 2 terms, in place
+    series = _HALF_SINH_SERIES[:terms]
     x2 = x * x
-    poly = x2 * _HALF_SINH_SERIES[-1]
-    for coef in _HALF_SINH_SERIES[-2:0:-1]:
+    poly = x2 * series[-1]
+    for coef in series[-2:0:-1]:
         poly += coef
         poly *= x2
-    poly += _HALF_SINH_SERIES[0]
+    poly += series[0]
     x2 *= x
     x2 *= poly
     return x2
@@ -195,15 +205,27 @@ def car_symbol(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray,
 
 
 def _integrands(s: np.ndarray):
-    # (KLI, MI) = (0.5 log1p(s) - 0.5 s/(1+s), 0.5 log1p(s)), in place: the
-    # halving is exact, so it may come last.  Loses eps/s relative at low s
-    mi = np.log1p(s)
-    kli = s + 1.0
-    np.divide(s, kli, out=kli)
-    np.subtract(mi, kli, out=kli)
-    kli *= 0.5
-    mi *= 0.5
-    return kli, mi
+    # (KLI, MI) = ((t - q)/2, t/2) of the bin SNRs s, t = log1p(s) and
+    # q = s/(1 + s), overwriting s.  Where |t| < 1 the KLI is s q/4 -
+    # (sinh t - t)/2, which does not cancel, by the series terms the block's
+    # largest |t| needs; a block evaluates each form only if it has such cells
+    t = np.log1p(s)
+    q = s + 1.0
+    np.divide(s, q, out=q)
+    if t.size == 0 or t.min() >= 1.0:
+        np.subtract(t, q, out=q)
+        q *= 0.5
+        t *= 0.5
+        return q, t
+    reach = max(float(t.max()), -float(t.min()))
+    s *= 0.25
+    s *= q
+    s -= _half_sinh_minus_x(t if reach < 1.0 else np.clip(t, -1.0, 1.0),
+                            3 + sum(r < reach for r in _HALF_SINH_REACH))
+    if reach >= 1.0:
+        np.copyto(s, 0.5 * (t - q), where=np.abs(t) >= 1.0)
+    t *= 0.5
+    return s, t
 
 
 def torus_grid(n: int) -> np.ndarray:
@@ -257,11 +279,7 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
     and row n - k holds the values of row k, so rows k = 0..n//2 are summed
     with the weights of ``_mirror_weights``, and min_den comes from the same
     rows.  Where the symbol is not positive, s = 0 leaves the cell out.
-    For t = log1p(s) < 1 the KLI (t - 1 + e^-t)/2 is sinh^2(t/2) -
-    (sinh t - t)/2, as in ``sfcar_gap_sums``: no cancellation at low SNR,
-    for ~8x the work per cell of the oracle's ``_integrands``.  A row block
-    takes that form only if it has such cells, and the plain one only if it
-    has cells with t >= 1; each cell's value is the same either way.
+    The integrands are the oracle's, ``_integrands``: no cancellation at low SNR.
     """
     if n < 2:
         raise ValueError("grid side must be >= 2")
@@ -277,17 +295,8 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
         lows.append(float(den.min()))
         if lows[-1] <= 0.0:
             den = np.where(den > 0.0, den, np.inf)
-        s = 1.0 / (sigma2 * den)
-        t = np.log1p(s)
-        q = s / (1.0 + s)  # 1 - e^-t, and s q/4 = sinh^2(t/2)
-        if t.min() >= 1.0:
-            kli = 0.5 * (t - q)
-        elif t.max() < 1.0:
-            kli = 0.25 * s * q - _half_sinh_minus_x(t)
-        else:
-            kli = np.where(t < 1.0, 0.25 * s * q - _half_sinh_minus_x(np.minimum(t, 1.0)),
-                           0.5 * (t - q))
-        return kli, 0.5 * t
+        den *= sigma2
+        return _integrands(np.divide(1.0, den, out=den))
 
     half = np.zeros(n)
     half[:n - n % 2:2] = 1.0

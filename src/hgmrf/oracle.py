@@ -65,17 +65,12 @@ class MonteCarloSpec:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-def _eigenvalues(scale, zeta: float, ck: np.ndarray, cl: np.ndarray) -> np.ndarray:
-    # scale (1 - 2 zeta c_k - 2 zeta c_l) on the cosine grid ck x cl: q_kl at kappa
-    return scale * (1.0 - 2.0 * zeta * ck[:, None] - 2.0 * zeta * cl[None, :])
-
-
-def _cosines(n: int, boundary: str) -> np.ndarray:
-    """cos(theta_k) of the 1-D eigenfrequencies: DFT on a torus, DST-I with
-    free boundaries."""
-    if boundary == "free":
-        return np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-    return np.cos(torus_grid(n))
+def _axis_terms(scale: float, zeta: float, n: int, boundary: str) -> np.ndarray:
+    """a_k = scale (1/2 - 2 zeta cos(theta_k)) on the 1-D eigenfrequencies,
+    DFT on a torus, DST-I with free boundaries: the eigenvalue
+    scale (1 - 2 zeta cos(theta_k) - 2 zeta cos(theta_l)) is a_k + a_l."""
+    theta = np.pi * np.arange(1, n + 1) / (n + 1) if boundary == "free" else torus_grid(n)
+    return scale * (0.5 - 2.0 * zeta * np.cos(theta))
 
 
 def torus_eigenvalues(params: SfcarParams, n: int) -> np.ndarray:
@@ -85,46 +80,44 @@ def torus_eigenvalues(params: SfcarParams, n: int) -> np.ndarray:
     their reciprocals.
     """
     _check_side(n)
-    c = _cosines(n, "torus")
-    q = _eigenvalues(params.kappa, params.zeta, c, c)
+    a = _axis_terms(params.kappa, params.zeta, n, "torus")
+    q = np.add.outer(a, a)
     if not np.all(q > 0.0):
         raise AssertionError("torus precision eigenvalues must be positive")
     return q
 
 
-def _bin_snrs(params: SfcarParams, noise: NoiseModel, ck: np.ndarray, cl: np.ndarray):
-    # s_kl = 1/((kappa sigma^2)(1 - 2 zeta c_k - 2 zeta c_l)): kappa sigma^2 =
-    # 2 K(4 zeta)/(pi SNR) is finite even where kappa alone is extreme.  A product
-    # that leaves the finite doubles raises, and the error names the inputs
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        try:
-            return 1.0 / _eigenvalues(np.float64(params.kappa) * noise.sigma2, params.zeta, ck, cl)
-        except FloatingPointError as exc:
-            raise ValueError(f"bin SNR 1/(q sigma^2) out of range ({exc}) at kappa = "
-                             f"{params.kappa!r}, zeta = {params.zeta!r}, "
-                             f"sigma^2 = {noise.sigma2!r}") from None
+def _bin_snr_terms(params: SfcarParams, noise: NoiseModel, n: int, boundary: str) -> np.ndarray:
+    # the terms a_k of the bin SNRs s_kl = 1/(a_k + a_l) at kappa sigma^2 =
+    # 2 K(4 zeta)/(pi SNR), finite even where kappa alone is extreme.  Rounding
+    # is monotone, so each a_k + a_l is in [2 min a, 2 max a]: a bin leaves the
+    # finite doubles only if a bound or 1/(2 min a) does, and the error names the inputs
+    a = _axis_terms(params.kappa * noise.sigma2, params.zeta, n, boundary)
+    lo, hi = 2.0 * float(a.min()), 2.0 * float(a.max())
+    if not (0.0 < lo and hi < math.inf and 1.0 / lo < math.inf):
+        raise ValueError(f"bin SNR 1/(q sigma^2) out of range at kappa = {params.kappa!r}, "
+                         f"zeta = {params.zeta!r}, sigma^2 = {noise.sigma2!r}")
+    return a
 
 
 def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
                          lattice: LatticeSpec) -> RateResult:
     """Per-node KLI and MI on the finite lattice.
 
-    Sums the spectral integrands over the closed-form precision
-    eigenvalues of either boundary; the KLI integrand loses about eps/s
-    relative at low bin SNR s (1.9e-6 at zeta = 0, SNR = 1e-10, n = 64).  On
-    the torus theta_k and theta_{n-k} share a cosine, so each axis runs over
-    its n//2 + 1 distinct cosines weighted by multiplicity: a quarter of the
-    eigenvalues for the same sum.  The result's quadrature_points field carries the
-    lattice side.
+    Sums the kernels' cancellation-free integrands over the bin SNRs
+    s_kl = 1/(a_k + a_l), a_k = kappa sigma^2 (1/2 - 2 zeta cos(theta_k)), of
+    either boundary's closed-form eigenvalues.  On the torus theta_k and
+    theta_{n-k} share a cosine, so each axis runs over its n//2 + 1 distinct
+    cosines weighted by multiplicity: a quarter of the eigenvalues for the
+    same sum.  The result's quadrature_points field carries the lattice side.
     """
     n = lattice.n
-    c = _cosines(n, lattice.boundary)
     mult = _mirror_weights(n) if lattice.boundary == "torus" else np.ones(n)
-    c = c[: mult.size]
+    a = _bin_snr_terms(params, noise, n, lattice.boundary)[: mult.size]
     # in row blocks, whose temporaries stay small: n^2-sized ones would
     # raise the peak memory of the process
     kli, mi = _weighted_grid_means(
-        (mult,), (mult,), lambda rows: _integrands(_bin_snrs(params, noise, c[rows], c)))
+        (mult,), (mult,), lambda rows: _integrands(1.0 / np.add.outer(a[rows], a)))
     return RateResult(kli, mi, n, True)
 
 
@@ -135,8 +128,9 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
     The exact log-likelihood ratio between the noise-only and
     signal-plus-noise torus models of Y ~ N(0, sigma^2 I) is, per node,
     sum_kl (0.5 log1p(s_kl) - g_kl P_kl)/n^2, with g = 0.5 s/(1+s),
-    s_kl = 1/(q_kl sigma^2) and P_kl the periodogram of Y/sigma under the
-    unitary 2-D DFT.  That is the periodogram of real white noise, whose law
+    s_kl = 1/(q_kl sigma^2) = 1/(a_k + a_l) as in ``finite_lattice_rates`` and
+    P_kl the periodogram of Y/sigma under the unitary 2-D DFT.  That is the
+    periodogram of real white noise, whose law
     is known: a self-conjugate bin (k, l in {0, n/2}; for odd n only (0, 0))
     has P = chi^2_1 = 2 Gamma(1/2), and the two bins of a conjugate pair
     share one P = Exp(1) = Gamma(1), all independent.  s_kl is even in k
@@ -150,13 +144,13 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
     no transform.  The replicate mean converges almost surely to the
     finite-lattice KLI.  The replicates draw in turn from one Philox stream
     seeded with mc.seed, so the result is bit-identical for a given seed
-    and numpy version.  Each block of replicates (_BLOCK_ELEMS draws, or one
-    replicate) is one call, which reads each replicate's draws in a row, and
-    each replicate is reduced by itself, so the block size changes no bit.
-    The spread is taken of the values divided by their largest magnitude,
-    then scaled back: the values are about SNR/n, and their squares leave
-    the normal doubles below SNR ~ 1e-150.  Requires replicates >= 2 for a
-    standard error.
+    and numpy version.  Each block of replicates (at most _BLOCK_ELEMS = 8192
+    draws, or one replicate) is one call, which reads each replicate's draws
+    in a row, and each replicate is reduced by itself, so the block size
+    changes no bit.  The spread is taken of the values divided by their
+    largest magnitude, then scaled back: the values are about SNR/n, and
+    their squares leave the normal doubles below SNR ~ 1e-150.  Requires
+    replicates >= 2 for a standard error.
     """
     if mc.replicates < 2:
         raise ValueError("at least 2 replicates are needed for a standard error")
@@ -165,8 +159,8 @@ def sample_llr_per_node(params: SfcarParams, noise: NoiseModel, n: int,
     # the slots, cell by cell: the gamma shape and the cell of each
     cells = np.repeat(np.arange(mult.size), np.maximum(mult // 2, 1).astype(np.intp))
     shapes = np.where(mult[cells] == 1.0, 0.5, 1.0)
-    c = _cosines(n, "torus")[: n // 2 + 1]
-    s = _bin_snrs(params, noise, c, c).ravel()
+    a = _bin_snr_terms(params, noise, n, "torus")[: n // 2 + 1]
+    s = 1.0 / np.add.outer(a, a).ravel()
     log_term = float(0.5 * np.sum(mult * np.log1p(s)))
     weight = (s / (1.0 + s))[cells]
     norm = float(n * n)

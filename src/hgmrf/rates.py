@@ -83,17 +83,12 @@ class RateResult:
 def kli_integrand(s):
     """Per-frequency divergence D(N(0,1) || N(0,1+s)) in nats.
 
-    Equals 0.5*log(1+s) + 0.5/(1+s) - 0.5, evaluated as 0.5*log1p(s) -
-    0.5*s/(1+s) like the sums of the finite-lattice oracle (the rate
-    kernels use a cancellation-free form); behaves like s^2/4 as
-    s -> 0.  The two terms still cancel to leading order at small s, so the
-    relative error grows like eps/s (the absolute error stays below eps*s).
-    Against a 40-digit evaluation it is at most ~2e-16 relative for s >= 1,
-    5e-14 for s >= 1e-2 and 4e-12 for s >= 1e-4, but 2.9e-9 at s = 1e-8 and
-    4.8e-5 at s = 1e-12, and no digit is left near s = 1e-16.  Accepts
-    scalars or arrays.
+    Equals 0.5*log(1+s) + 0.5/(1+s) - 0.5, by the rate kernels' one
+    integrand, which forms it without cancellation where log1p(s) < 1
+    (``_kernels_py._integrands``); behaves like s^2/4 as s -> 0.  Accepts
+    scalars or arrays, and leaves an array passed in unchanged.
     """
-    s = np.asarray(s, dtype=np.float64)
+    s = np.array(s, dtype=np.float64)  # a copy: the integrand overwrites it
     out = _kernels_py._integrands(s.reshape(-1))[0]
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 

@@ -90,9 +90,9 @@ def car_sums(n):
     return _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n)
 
 
-def lattice_sums(boundary):
+def lattice_sums(boundary, snr):
     noise = NoiseModel(sigma2=0.5)
-    model = sfcar_from_snr(3.0, 0.2, noise)
+    model = sfcar_from_snr(snr, 0.2, noise)
 
     def sums(n):
         res = finite_lattice_rates(model, noise, LatticeSpec(n, boundary))
@@ -105,13 +105,16 @@ def lattice_sums(boundary):
     pytest.param(car_sums, n, block, id=f"{n}-{block}")
     for n, block in ((300, 4096), (301, 4096), (301, 100))
 ] + [
-    pytest.param(lattice_sums(boundary), n, 100, id=f"{boundary}-{n}-100")
-    for boundary in ("torus", "free") for n in (64, 65, 301)
+    pytest.param(lattice_sums(boundary, snr), n, 100,
+                 id=f"{boundary}-{n}-100" + ("" if snr == 3.0 else f"-snr{snr}"))
+    for snr in (3.0, 1e-3) for boundary in ("torus", "free") for n in (64, 65, 301)
 ])
 def test_python_kernel_blocking_invariant(monkeypatch, sums, n, block):
     # one block size governs the general-CAR kernel and the finite-lattice
     # oracle, and must not affect either reduction beyond roundoff, also
-    # where a block is smaller than one row and holds one row
+    # where a block is smaller than one row and holds one row.  At SNR 3
+    # the oracle's blocks hold cells with t = log1p(s) >= 1 only, or on both
+    # sides of 1; at SNR 1e-3 every t < 1: each form of the integrand
     full = sums(n)
     monkeypatch.setattr(_kernels_py, "_BLOCK_ELEMS", block)
     blocked = sums(n)
@@ -166,12 +169,16 @@ def test_gap_row_does_not_depend_on_the_batch():
         assert [float(v[0]) for v in alone] == batch[:, i].tolist()
 
 
-@pytest.mark.parametrize("n", [8, 64, 65, 301])
-def test_car_grid_is_the_torus_oracle(n):
+@pytest.mark.parametrize("n, zeta, snr", [
+    pytest.param(n, zeta, snr, id=f"{n}" if snr == 3.0 else f"{n}-{zeta}-{snr}")
+    for zeta, snr in ((0.2, 3.0), (0.0, 1e-10), (0.2, 1e-10), (0.2, 1e-6))
+    for n in (8, 64, 65, 301)
+])
+def test_car_grid_is_the_torus_oracle(n, zeta, snr):
     # on first-order taps the torus grid is the finite torus's spectrum:
-    # two independent evaluations of one finite sum
+    # two independent evaluations of one finite sum, at low SNR too
     noise = NoiseModel(sigma2=0.5)
-    params = sfcar_from_snr(3.0, 0.2, noise)
+    params = sfcar_from_snr(snr, zeta, noise)
     oi, oj, theta = params.taps().tap_arrays()
     kli, mi, *_rest = _kernels_py.car_grid_sums(theta, oi, oj, noise.sigma2, n)
     exact = finite_lattice_rates(params, noise, LatticeSpec(n))

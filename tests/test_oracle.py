@@ -99,6 +99,16 @@ class TestFiniteLatticeRates:
             assert kli == pytest.approx(got[0][0], rel=1e-14, abs=0)
             assert mi == pytest.approx(got[0][1], rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("boundary", ["torus", "free"])
+    def test_low_snr_kli_is_the_series(self, boundary):
+        # at zeta = 0 every bin has s = SNR, and the KLI (t - 1 + e^-t)/2 is
+        # SNR^2/4 - SNR^3/3 + O(SNR^4): the sum must keep every digit, where
+        # 0.5 log1p(s) - 0.5 s/(1 + s) in floats is 1.9e-6 off
+        noise = NoiseModel(1.0)
+        res = finite_lattice_rates(sfcar_from_snr(1e-10, 0.0, noise), noise,
+                                   LatticeSpec(64, boundary))
+        assert res.kli_rate == pytest.approx(2.4999999996666667e-21, rel=1e-15, abs=0)
+
     def test_torus_matches_spectral_integral(self):
         noise = NoiseModel(1.0)
         params = sfcar_from_snr(10.0, 0.1, noise)
@@ -163,13 +173,19 @@ class TestFiniteLatticeRates:
         torus = finite_lattice_rates(params, noise, LatticeSpec(64))
         assert abs(free.mi_rate - torus.mi_rate) <= 5e-2
 
-    @pytest.mark.parametrize("kappa, zeta, sigma2", [(1.2e308, 0.2, 1.0), (1e-299, ZETA_MAX, 1.0),
-                                                     (1.0, 0.1, 1e-310)])
-    def test_bin_snr_out_of_range(self, kappa, zeta, sigma2):
-        # kappa sigma^2 (1 + 4 zeta) overflows, or its reciprocal does
+    @pytest.mark.parametrize("kappa, zeta, sigma2, boundaries", [
+        pytest.param(1.2e308, 0.2, 1.0, ("torus", "free"), id="1.2e+308-0.2-1.0"),
+        pytest.param(1e-299, ZETA_MAX, 1.0, ("torus",), id="1e-299-0.24999999999999997-1.0"),
+        pytest.param(1.0, 0.1, 1e-310, ("torus", "free"), id="1.0-0.1-1e-310"),
+    ])
+    def test_bin_snr_out_of_range(self, kappa, zeta, sigma2, boundaries):
+        # kappa sigma^2 (1 + 4 zeta) overflows, or its reciprocal does.  The
+        # free boundary's smallest eigenvalue factor is 1 - 4 zeta cos(pi/9)
+        # >= 0.06, which keeps the reciprocal finite at zeta = ZETA_MAX
         params, noise = SfcarParams(kappa, zeta), NoiseModel(sigma2)
-        with pytest.raises(ValueError, match="bin SNR"):
-            finite_lattice_rates(params, noise, LatticeSpec(8))
+        for boundary in boundaries:
+            with pytest.raises(ValueError, match="bin SNR"):
+                finite_lattice_rates(params, noise, LatticeSpec(8, boundary))
         with pytest.raises(ValueError, match="bin SNR"):
             sample_llr_per_node(params, noise, 8, MonteCarloSpec(2, 1))
 

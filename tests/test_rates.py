@@ -44,6 +44,21 @@ class TestKliIntegrand:
         assert out.shape == (3,)
         assert out[1] == pytest.approx(STEIN_KLI, rel=1e-15)
 
+    @pytest.mark.parametrize("s", [1e-16, 1e-12, 1e-8, 1e-4, 1.0, 1e3])
+    def test_against_mpmath(self, s):
+        # no cancellation at low s: 0.5 log1p(s) - 0.5 s/(1 + s) in floats
+        # is 4.8e-5 off at s = 1e-12
+        with mp.workdps(40):
+            want = float(mp.log1p(s) / 2 - s / (2 * (1 + mp.mpf(s))))
+        assert kli_integrand(s) == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_leaves_the_input_unchanged(self):
+        # the shared integrand overwrites its block; this one works on a copy
+        s = np.array([[1e-12, 0.5], [1.0, 1e3]])
+        kept = s.copy()
+        kli_integrand(s)
+        np.testing.assert_array_equal(s, kept)
+
 
 class TestSfcarRates:
     def test_iid_closed_forms(self):
