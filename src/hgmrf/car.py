@@ -42,17 +42,19 @@ class NoiseModel:
 class CarCoefficients:
     """Finite symmetric tap map of a conditional autoregression.
 
-    The constructor canonicalizes the map so that both (i, j) and (-i, -j)
-    are stored and checked equal, requires theta_00 > 0, and (unless
-    ``validate=False``) verifies spectrum positivity numerically on a
-    256x256 torus grid, which holds w = 0 and pi -- there is no closed-form
-    positivity test for arbitrary tap sets.
+    The constructor refuses a non-finite tap, canonicalizes the map so that
+    both (i, j) and (-i, -j) are stored and checked equal, requires
+    theta_00 > 0, and (unless ``validate=False``) verifies spectrum
+    positivity numerically on a 256x256 torus grid, which holds w = 0 and
+    pi -- there is no closed-form positivity test for arbitrary tap sets.
     """
 
     def __init__(self, theta: Mapping[Offset, float], validate: bool = True):
         canonical: dict[Offset, float] = {}
         for (i, j), value in theta.items():
             i, j, value = int(i), int(j), float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite tap: theta{(i, j)} = {value}")
             mirror = (-i, -j)
             for key in ((i, j), mirror):
                 if key in canonical and canonical[key] != value:

@@ -86,9 +86,13 @@ def kli_integrand(s):
     Equals 0.5*log(1+s) + 0.5/(1+s) - 0.5, by the rate kernels' one
     integrand, which forms it without cancellation where log1p(s) < 1
     (``_kernels_py._integrands``); behaves like s^2/4 as s -> 0.  Accepts
-    scalars or arrays, and leaves an array passed in unchanged.
+    scalars or arrays, and leaves an array passed in unchanged.  Raises
+    ValueError, naming the first, for any s outside (-1, inf).
     """
     s = np.array(s, dtype=np.float64)  # a copy: the integrand overwrites it
+    bad = ~((s > -1.0) & (s < math.inf))
+    if bad.any():
+        raise ValueError(f"kli_integrand needs s in (-1, inf), got {float(s[bad][0])!r}")
     out = _kernels_py._integrands(s.reshape(-1))[0]
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 

@@ -9,6 +9,7 @@ All arithmetic is 64-bit binary floating point.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -41,13 +42,18 @@ class QuadratureSpec:
     max_points_per_axis.  Each kernel call at n points also returns the
     estimate of its embedded n/2-point rule, and n doubles until the pair
     of one call agrees to relative_tolerance or would exceed the budget,
-    so every n is a power of two.  A budget below 16 is refused.
+    so every n is a power of two.  A budget that is not an integer, or is
+    below 16, is refused.
     """
 
     relative_tolerance: float = 1e-9
     max_points_per_axis: int = 4096
 
     def __post_init__(self):
+        # an inf budget would double an unconverged row without end
+        if not isinstance(self.max_points_per_axis, numbers.Integral):
+            raise ValueError(
+                f"max_points_per_axis must be an integer, got {self.max_points_per_axis!r}")
         if self.max_points_per_axis < 16:
             raise ValueError("max_points_per_axis must be >= 16")
         if not 0.0 < self.relative_tolerance <= 1e-2:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,17 @@ class TestCarCoefficients:
             CarCoefficients({(0, 0): 0.0})
         with pytest.raises(ValueError, match="theta_00"):
             CarCoefficients({(1, 0): 1.0, (-1, 0): 1.0})
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("key", [(0, 0), (1, 0)], ids=["centre", "neighbour"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tap_rejected_by_name(self, value, key, validate):
+        # a nan centre was refused as asymmetric, and an inf tap accepted
+        # without validation
+        theta = {(0, 0): 1.0, (1, 0): -0.2}
+        theta[key] = value
+        with pytest.raises(ValueError, match=re.escape(f"non-finite tap: theta{key} = {value}")):
+            CarCoefficients(theta, validate=validate)
 
     def test_invalid_spectrum_rejected_at_construction(self):
         with pytest.raises(ValueError, match="not positive"):

@@ -1,4 +1,3 @@
-import functools
 import math
 import sys
 
@@ -23,6 +22,7 @@ from hgmrf.rates import (
 )
 from hgmrf.car import CarCoefficients
 from hgmrf.specfun import QuadratureSpec
+from sfcar_reference import rates_at_spacing, rates_at_zeta
 
 STEIN_KLI = 0.5 * math.log(2.0) + 0.25 - 0.5
 HALF_LOG2 = 0.5 * math.log(2.0)
@@ -51,6 +51,13 @@ class TestKliIntegrand:
         with mp.workdps(40):
             want = float(mp.log1p(s) / 2 - s / (2 * (1 + mp.mpf(s))))
         assert kli_integrand(s) == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("s, named", [(-2.0, "-2.0"), (math.nan, "nan"), (math.inf, "inf"),
+                                          ([0.5, -1.0, math.nan], "-1.0")])
+    def test_refuses_s_outside_minus_one_to_inf(self, s, named):
+        # each returned nan, -2 and inf with a RuntimeWarning too
+        with pytest.raises(ValueError, match=rf"^kli_integrand needs s in \(-1, inf\), got {named}$"):
+            kli_integrand(s)
 
     def test_leaves_the_input_unchanged(self):
         # the shared integrand overwrites its block; this one works on a copy
@@ -212,115 +219,12 @@ class TestBatchedRows:
 class TestHighPrecisionCrossValidation:
     @pytest.mark.parametrize("zeta,snr", [(0.1, 10.0), (0.2499, 1.0)])
     def test_against_mpmath_double_quadrature(self, zeta, snr):
-        # fully independent path: 20-digit adaptive 2-D quadrature with
-        # mpmath's own elliptic integral for the power scale.  The
-        # integrands are even in w1 and w2, so [0, pi]^2 / pi^2 is the
-        # average over the whole torus.
-        with mp.workdps(20):
-            z, s0 = mp.mpf(zeta), mp.mpf(snr)
-            a = (2 / mp.pi) * mp.ellipk((4 * z) ** 2)  # parameter m = k^2
-
-            def spectral_snr(w1, w2):
-                return s0 / (a * (1 - 2 * z * mp.cos(w1) - 2 * z * mp.cos(w2)))
-
-            ref_kli = float(
-                mp.quad(
-                    lambda w1, w2: 0.5 * mp.log(1 + spectral_snr(w1, w2))
-                    + 0.5 / (1 + spectral_snr(w1, w2)) - 0.5,
-                    [0, mp.pi], [0, mp.pi],
-                ) / mp.pi**2
-            )
-            ref_mi = float(
-                mp.quad(
-                    lambda w1, w2: 0.5 * mp.log(1 + spectral_snr(w1, w2)),
-                    [0, mp.pi], [0, mp.pi],
-                ) / mp.pi**2
-            )
+        # the Green's-function reference shares no step with the kernel's
+        # closed-form w2 integral; it matches the 2-D definition here
+        ref_kli, ref_mi = rates_at_zeta(zeta, snr)
         res = sfcar_rates(zeta, snr)
         assert res.kli_rate == pytest.approx(ref_kli, rel=1e-12)
         assert res.mi_rate == pytest.approx(ref_mi, rel=1e-12)
-
-
-MP_DPS = 40
-
-
-def _mp_rates(delta, c):
-    """(kli, mi) at 1 - 4 zeta = delta and s = c/(1 - 2 zeta cos w1 - 2 zeta
-    cos w2), both mpmath numbers: the closed-form w2 integral, then mpmath's
-    adaptive quadrature over w1 in [0, pi], split at the widths sqrt(delta)
-    and sqrt(c) of the peak at w1 = 0 and at every decade below 0.1.
-    Where c < 1 the KLI is ~c times the MI and the log's argument is
-    1 + O(c), so log10(1/c) digits are added to the working precision."""
-    extra = max(0, int(-mp.log10(c))) if c > 0 else 0
-    with mp.workdps(mp.mp.dps + extra):
-        return _mp_rates_split(delta, c)
-
-
-def _mp_rates_split(delta, c):
-    def parts(w):
-        s2 = mp.sin(w / 2) ** 2
-        lo, hi = delta + (1 - delta) * s2, 1 + (1 - delta) * s2
-        a = (lo + hi) / 2
-        r0, r1 = mp.sqrt(lo * hi), mp.sqrt((lo + c) * (hi + c))
-        return mp.log((a + c + r1) / (a + r0)), c / r1
-
-    cuts = {mp.mpf(10) ** -k for k in range(1, 16)} | {mp.sqrt(delta), mp.sqrt(c)}
-    pts = [mp.mpf(0)] + sorted(p for p in cuts if 0 < p < 1) + [mp.mpf(1), mp.pi]
-    mi = mp.quad(lambda w: parts(w)[0], pts) / (2 * mp.pi)
-    kli = mi - mp.quad(lambda w: parts(w)[1], pts) / (2 * mp.pi)
-    return float(kli), float(mi)
-
-
-def _mp_rates_at_zeta(zeta, snr):
-    with mp.workdps(MP_DPS):
-        z = mp.mpf(zeta)
-        scale = 2 / mp.pi * mp.ellipk((4 * z) ** 2)  # parameter m = k^2
-        return _mp_rates(1 - 4 * z, mp.mpf(snr) / scale)
-
-
-def _mp_rates_at_spacing(x, snr):
-    delta, g = _mp_delta_scale(x)
-    with mp.workdps(MP_DPS):
-        return _mp_rates(delta, mp.mpf(snr) / g)
-
-
-@functools.lru_cache(maxsize=None)
-def _mp_delta_scale(x):
-    # (delta, g) at alpha*d = x, mpmath numbers, for every SNR at that x.
-    # rho = x K1(x); solve rho = (g - 1)/((1 - delta) g), g = (2/pi) K(1 - delta),
-    # for delta = 1 - 4 zeta by plain bisection in log(delta), independent of
-    # the library's Illinois solve, unless delta is below 1e-30, where
-    # g = 1/(1 - rho) to far below double precision.
-    # 1 - rho ~ x^2 ln(1/x) is formed with 2 log10(1/x) extra digits, or for
-    # x <= 1e-20 from (x^2/4)(1 - 2 gamma - 2 ln(x/2)), within O(x^2) relative.
-    if x <= 1e-20:
-        with mp.workdps(MP_DPS):
-            xm = mp.mpf(x)
-            one_minus_rho = xm ** 2 / 4 * (1 - 2 * mp.euler - 2 * mp.log(xm / 2))
-    else:
-        with mp.workdps(MP_DPS + 2 * max(0, -math.floor(math.log10(x)))):
-            xm = mp.mpf(x)
-            one_minus_rho = 1 - xm * mp.besselk(1, xm)
-    with mp.workdps(MP_DPS):
-        rho = 1 - one_minus_rho
-        g = 1 / one_minus_rho
-        delta = mp.mpf(0)
-        if 8 * mp.exp(-mp.pi * g) > mp.mpf(10) ** -30:
-            def rho_of(t):
-                d = mp.exp(t)
-                gd = 2 / mp.pi * mp.ellipk((1 - d) ** 2)
-                return (gd - 1) / ((1 - d) * gd), gd
-
-            lo, hi = mp.log(mp.mpf(10) ** -35), mp.mpf(0)
-            for _ in range(150):  # rho_of falls as t grows
-                mid = (lo + hi) / 2
-                if rho_of(mid)[0] > rho:
-                    lo = mid
-                else:
-                    hi = mid
-            delta = mp.exp((lo + hi) / 2)
-            g = rho_of((lo + hi) / 2)[1]
-        return delta, g
 
 
 ZETA_GRID = (0.0, 0.1, 0.24, 0.2499, 0.25 * (1 - 1e-8), float(np.nextafter(0.25, 0.0)))
@@ -329,9 +233,9 @@ ALPHA_D_GRID = (0.01, 0.02, 0.296, 20.0 / 63.0, 0.5)
 
 class TestOneDimensionalPathAccuracy:
     """Every point converges under the default budget and lands within
-    1e-13 of a 40-digit evaluation, from zeta = 0 to the last double below
-    1/4, at spacings where zeta rounds next to or onto 1/4 and at dense
-    spacing.  At low SNR the rates there turn on 1 - 4 zeta itself, which
+    1e-13 of the 40-digit Green's-function reference (`sfcar_reference`),
+    from zeta = 0 to the last double below 1/4, at spacings where zeta
+    rounds next to or onto 1/4 and at dense spacing.  At low SNR the rates there turn on 1 - 4 zeta itself, which
     no double zeta carries; those points hold to 1e-12.  abs=0 keeps
     pytest.approx from passing rates below 1e-12 outright."""
 
@@ -340,7 +244,7 @@ class TestOneDimensionalPathAccuracy:
     def test_zeta_grid(self, zeta, snr):
         res = sfcar_rates(zeta, snr)
         assert res.converged
-        ref = _mp_rates_at_zeta(zeta, snr)
+        ref = rates_at_zeta(zeta, snr)
         assert res.kli_rate == pytest.approx(ref[0], rel=1e-13, abs=0.0)
         assert res.mi_rate == pytest.approx(ref[1], rel=1e-13, abs=0.0)
 
@@ -349,7 +253,7 @@ class TestOneDimensionalPathAccuracy:
         # (A + c)^2 overflows from c ~ 1e154; the kernel must not form it
         res = sfcar_rates(zeta, 1e300)
         assert res.converged
-        ref = _mp_rates_at_zeta(zeta, 1e300)
+        ref = rates_at_zeta(zeta, 1e300)
         assert res.kli_rate == pytest.approx(ref[0], rel=1e-13, abs=0.0)
         assert res.mi_rate == pytest.approx(ref[1], rel=1e-13, abs=0.0)
 
@@ -358,7 +262,7 @@ class TestOneDimensionalPathAccuracy:
     def test_spacing_grid(self, alpha_d, snr):
         res = sfcar_rates_at_spacing(PhysicalField(1.0, alpha_d), snr)
         assert res.converged
-        ref = _mp_rates_at_spacing(alpha_d, snr)
+        ref = rates_at_spacing(alpha_d, snr)
         assert res.kli_rate == pytest.approx(ref[0], rel=1e-13, abs=0.0)
         assert res.mi_rate == pytest.approx(ref[1], rel=1e-13, abs=0.0)
 
@@ -370,7 +274,7 @@ class TestOneDimensionalPathAccuracy:
         # gathers c/w1 over every decade above it.
         res = sfcar_rates_at_spacing(PhysicalField(1.0, alpha_d), 1.0)
         assert res.converged
-        ref = _mp_rates_at_spacing(alpha_d, 1.0)
+        ref = rates_at_spacing(alpha_d, 1.0)
         assert res.kli_rate == pytest.approx(ref[0], rel=1e-12, abs=0.0)
         assert res.mi_rate == pytest.approx(ref[1], rel=1e-12, abs=0.0)
 
@@ -382,7 +286,7 @@ class TestOneDimensionalPathAccuracy:
         # from the rounded zeta put the KLI off by up to 2.6e-3
         res = sfcar_rates_at_spacing(PhysicalField(1.0, alpha_d), snr)
         assert res.converged
-        ref = _mp_rates_at_spacing(alpha_d, snr)
+        ref = rates_at_spacing(alpha_d, snr)
         assert res.kli_rate == pytest.approx(ref[0], rel=1e-12, abs=0.0)
         assert res.mi_rate == pytest.approx(ref[1], rel=1e-12, abs=0.0)
 
@@ -392,7 +296,7 @@ class TestOneDimensionalPathAccuracy:
         # width of the peak
         res = sfcar_rates_at_spacing(PhysicalField(1.0, 0.29), 1e-19)
         assert res.converged
-        ref = _mp_rates_at_spacing(0.29, 1e-19)
+        ref = rates_at_spacing(0.29, 1e-19)
         assert res.kli_rate == pytest.approx(ref[0], rel=1e-12, abs=0.0)
         assert res.mi_rate == pytest.approx(ref[1], rel=1e-12, abs=0.0)
 

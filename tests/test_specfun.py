@@ -135,6 +135,11 @@ class TestQuadratureSpec:
             {"max_points_per_axis": 15},
             {"relative_tolerance": 0.0},
             {"relative_tolerance": 0.5},
+            # an inf budget doubled an unconverged row without end, and a
+            # nan one stopped after one round
+            {"max_points_per_axis": math.inf},
+            {"max_points_per_axis": math.nan},
+            {"max_points_per_axis": 100.5},
         ],
     )
     def test_spec_validation(self, kwargs):
