@@ -13,7 +13,8 @@ Strang, "The Discrete Cosine Transform", SIAM Rev. 41, 1999).  Per-node KLI
 and MI at finite n are exact sums of the spectral integrands over q_kl --
 on the torus a rectangle rule whose n -> infinity limit is the spectral
 integral on the grid of ``_kernels_py.car_grid_sums`` -- taken by the
-kernels' one weighted 2-D block sum.  A Monte
+kernels' folded 2-D block sum: s_kl = s_lk, so it runs over the triangle
+k <= l.  A Monte
 Carlo log-likelihood-ratio simulation under the noise-only hypothesis
 verifies the almost-sure limit the KLI rate is defined by.  It draws the
 periodogram of the torus's white noise from its law, chi^2_1 on the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels_py
-from ._kernels_py import _integrands, _mirror_weights, _weighted_grid_means, torus_grid
+from ._kernels_py import _folded_grid_means, _integrands, _mirror_weights, torus_grid
 from .car import NoiseModel, SfcarParams
 from .rates import RateResult
 
@@ -77,14 +78,16 @@ def torus_eigenvalues(params: SfcarParams, n: int) -> np.ndarray:
     """Precision eigenvalues q_kl of the torus-wrapped field, shape (n, n).
 
     All positive for zeta < 1/4; the signal covariance eigenvalues are
-    their reciprocals.
+    their reciprocals.  Raises ValueError where kappa is so small that an
+    eigenvalue rounds to 0, or so large that one overflows.
     """
     _check_side(n)
     a = _axis_terms(params.kappa, params.zeta, n, "torus")
-    q = np.add.outer(a, a)
-    if not np.all(q > 0.0):
-        raise AssertionError("torus precision eigenvalues must be positive")
-    return q
+    # rounded addition is monotone, so every a_k + a_l lies in [2 min a, 2 max a]
+    if not (0.0 < 2.0 * float(a.min()) and 2.0 * float(a.max()) < math.inf):
+        raise ValueError(f"torus precision eigenvalues out of range at kappa = "
+                         f"{params.kappa!r}, zeta = {params.zeta!r}, n = {n!r}")
+    return np.add.outer(a, a)
 
 
 def _bin_snr_terms(params: SfcarParams, noise: NoiseModel, n: int, boundary: str) -> np.ndarray:
@@ -108,16 +111,17 @@ def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
     s_kl = 1/(a_k + a_l), a_k = kappa sigma^2 (1/2 - 2 zeta cos(theta_k)), of
     either boundary's closed-form eigenvalues.  On the torus theta_k and
     theta_{n-k} share a cosine, so each axis runs over its n//2 + 1 distinct
-    cosines weighted by multiplicity: a quarter of the eigenvalues for the
-    same sum.  The result's quadrature_points field carries the lattice side.
+    cosines weighted by multiplicity; both axes share the terms a, so
+    s_kl = s_lk and the sum runs over the triangle k <= l of that grid.  The
+    result's quadrature_points field carries the lattice side.
     """
     n = lattice.n
     mult = _mirror_weights(n) if lattice.boundary == "torus" else np.ones(n)
     a = _bin_snr_terms(params, noise, n, lattice.boundary)[: mult.size]
     # in row blocks, whose temporaries stay small: n^2-sized ones would
     # raise the peak memory of the process
-    kli, mi = _weighted_grid_means(
-        (mult,), (mult,), lambda rows: _integrands(1.0 / np.add.outer(a[rows], a)))
+    kli, mi = _folded_grid_means(
+        (mult,), lambda rows, cols: _integrands(1.0 / np.add.outer(a[rows], a[cols])))
     return RateResult(kli, mi, n, True)
 
 

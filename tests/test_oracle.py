@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from hgmrf import _kernels_py
+from hgmrf import _kernels_py, oracle
 from hgmrf.car import NoiseModel, SfcarParams, sfcar_from_snr
 from hgmrf.oracle import (
     LatticeSpec,
@@ -61,6 +62,14 @@ class TestTorusEigenvalues:
         with pytest.raises(ValueError):
             torus_eigenvalues(SfcarParams(kappa=1.0, zeta=0.1), 1)
 
+    @pytest.mark.parametrize("kappa", [5e-324, 1e308])
+    def test_out_of_range_kappa_rejected(self, kappa):
+        # kappa (1/2 - 2 zeta cos theta) rounds to 0 at the smallest
+        # subnormal, and a_k + a_l overflows at 1e308: one refusal naming
+        # the inputs, with no overflow warning on the way
+        with pytest.raises(ValueError, match=re.escape(f"kappa = {kappa!r}, zeta = 0.2, n = 4")):
+            torus_eigenvalues(SfcarParams(kappa=kappa, zeta=0.2), 4)
+
 
 class TestFiniteLatticeRates:
     def test_iid_boundary_independent(self):
@@ -71,18 +80,52 @@ class TestFiniteLatticeRates:
             assert res.kli_rate == pytest.approx(STEIN_KLI, abs=1e-11)
             assert res.mi_rate == pytest.approx(HALF_LOG2, abs=1e-11)
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 64, 65])
-    @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2499])
-    def test_torus_matches_unfolded_eigenvalue_sum(self, n, zeta):
-        # the sum over distinct cosines, weighted by multiplicity, against
-        # all n^2 eigenvalues
+    @staticmethod
+    def check_unfolded_sum(theta, n, zeta, snr, boundary):
+        # the same bin SNRs 1/(a_k + a_l) as the oracle's, summed over all
+        # n^2 bins: what differs is only the fold and the order of the sums
         noise = NoiseModel(1.0)
-        params = sfcar_from_snr(10.0, zeta, noise)
-        c = np.cos(2.0 * np.pi * np.arange(n) / n)
-        s = 1.0 / (params.kappa * (1.0 - 2.0 * zeta * c[:, None] - 2.0 * zeta * c[None, :]))
-        res = finite_lattice_rates(params, noise, LatticeSpec(n))
+        params = sfcar_from_snr(snr, zeta, noise)
+        a = params.kappa * (0.5 - 2.0 * zeta * np.cos(theta))
+        s = 1.0 / (a[:, None] + a[None, :])
+        res = finite_lattice_rates(params, noise, LatticeSpec(n, boundary))
         assert res.kli_rate == pytest.approx(np.mean(kli_integrand(s)), rel=1e-14, abs=0)
         assert res.mi_rate == pytest.approx(np.mean(0.5 * np.log1p(s)), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 301, 1024])
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2499])
+    @pytest.mark.parametrize("snr", [1e-10, 1e-3, 3.0, 10.0, 1e3])
+    def test_torus_matches_unfolded_eigenvalue_sum(self, n, zeta, snr):
+        # the triangle k <= l of the distinct cosines, weighted by their
+        # multiplicities, against all n^2 DFT bins.  Bin n - k takes the
+        # angle of bin k, whose cosine it shares: cos(2 pi (n - k)/n) rounds
+        # apart from it for odd n, by more than the fold at zeta = 0.2499
+        k = np.arange(n)
+        self.check_unfolded_sum(2.0 * np.pi * np.minimum(k, n - k) / n, n, zeta, snr, "torus")
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 65, 301, 1024])
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2499])
+    @pytest.mark.parametrize("snr", [1e-10, 1e-3, 3.0, 10.0, 1e3])
+    def test_free_matches_unfolded_eigenvalue_sum(self, n, zeta, snr):
+        # the triangle k <= l against all n^2 DST-I bins
+        self.check_unfolded_sum(np.pi * np.arange(1, n + 1) / (n + 1), n, zeta, snr, "free")
+
+    @pytest.mark.parametrize("boundary", ["torus", "free"])
+    def test_sums_one_triangle(self, monkeypatch, boundary):
+        # s_kl = s_lk: the side-1024 oracle hands _integrands the triangle
+        # k <= l of its grid and the diagonal squares of its blocks, 141,249
+        # cells on the torus's 513 x 513 distinct cosines, not every cell
+        cells, integrands = [], oracle._integrands
+
+        def counted(s):
+            cells.append(s.size)
+            return integrands(s)
+
+        monkeypatch.setattr(oracle, "_integrands", counted)
+        noise = NoiseModel(1.0)
+        finite_lattice_rates(sfcar_from_snr(10.0, 0.1, noise), noise, LatticeSpec(1024, boundary))
+        side = 513 if boundary == "torus" else 1024
+        assert sum(cells) <= 0.55 * side**2
 
     @pytest.mark.parametrize("boundary", ["torus", "free"])
     @pytest.mark.parametrize("zeta, snr", [(0.1, 10.0), (0.2, 1e-300)])
