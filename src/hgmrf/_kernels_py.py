@@ -4,15 +4,13 @@
 alone, the w2 integral being closed-form, for many rows of (SNR/scale,
 1 - 4 zeta) at once: in blocks of rows of at most 6144 cells, each row
 reduced by itself.  The 2-D means of a (KLI, MI) integrand pair go in
-blocks small enough for the heap to serve, under one or more weightings.
-Where the integrand is symmetric under the swap of row and column and
-both axes carry the same weights, ``_folded_grid_means`` sums the
-triangle k <= l alone: the spacing gaps (``sfcar_gap_sums``), a function
-of cos w1 + cos w2, and the finite-lattice eigenvalues
-(``oracle.finite_lattice_rates``), 1/(a_k + a_l).  A general CAR symbol
-is not swap-symmetric, so ``car_grid_sums`` sums every column by
-``_weighted_grid_means``; both feed ``_integrands``, the one
-cancellation-free (KLI, MI) integrand.
+blocks small enough for the heap to serve.  The finite-lattice
+eigenvalues (``oracle.finite_lattice_rates``), 1/(a_k + a_l), are
+symmetric under the swap of row and column, with the same weights on
+both axes, so ``_folded_grid_means`` sums the triangle k <= l alone.  A
+general CAR symbol is not swap-symmetric, so ``car_grid_sums`` sums
+every column by ``_weighted_grid_means``; both feed ``_integrands``, the
+one cancellation-free (KLI, MI) integrand.
 The quadrature kernels return, beside their n-node means, the means of the
 n/2-node rule embedded in their nodes, from the same integrand values:
 the error estimate the doubling quadrature compares, one call a round.
@@ -249,8 +247,8 @@ def _weighted_grid_means(row_ws, col_ws, block_integrands):
     ``block_integrands(rows)`` gives on the rows ``rows`` (a slice) by every
     column, all in one flat list, in blocks of at most _BLOCK_ELEMS cells
     (or one row) per integrand; each mean is reduced by its own dot products.
-    For the general-CAR kernel alone: a swap-symmetric integrand takes
-    ``_folded_grid_means``."""
+    For the general-CAR kernel alone: the oracle's swap-symmetric
+    integrand takes ``_folded_grid_means``."""
     n_rows, n_cols = row_ws[0].size, col_ws[0].size
     step = max(1, _BLOCK_ELEMS // n_cols)
     sums = 0.0
@@ -262,35 +260,23 @@ def _weighted_grid_means(row_ws, col_ws, block_integrands):
     return (sums / [[rw.sum() * cw.sum()] for rw, cw in zip(row_ws, col_ws)]).ravel().tolist()
 
 
-def _folded_grid_means(ws, block_integrands):
-    """For each weight vector w of ``ws``, the w[k] w[l]-weighted mean of
-    each integrand f that ``block_integrands(rows, cols)`` gives on the rows
-    ``rows`` by the columns ``cols`` (slices), all in one flat list, where
-    f[k, l] = f[l, k]: the sum over the triangle k <= l, for any w.  A row
-    block [lo, hi) meets only the columns [lo, N): inside the square
-    [lo, hi)^2 each pair is already counted twice, and the columns from hi
-    on carry twice their weight, for their mirrors below the diagonal.
+def _folded_grid_means(w, block_integrands):
+    """The w[k] w[l]-weighted mean of each integrand f[k, l] = f[l, k] that
+    ``block_integrands(rows, cols)`` gives on slices of rows by columns, as
+    a list, summed over the triangle k <= l: a row block [lo, hi) meets the
+    columns [lo, N), each pair in [lo, hi)^2 is counted twice already, and
+    the columns from hi on carry twice their weight, for their mirrors.
     Blocks hold at most _BLOCK_ELEMS cells (or one row) per integrand; each
     mean is reduced by its own dot products."""
-    size = ws[0].size
+    size = w.size
     sums, lo = 0.0, 0
     while lo < size:
         hi = min(lo + max(1, _BLOCK_ELEMS // (size - lo)), size)
         blocks = block_integrands(slice(lo, hi), slice(lo, size))
-        block_sums = []
-        for w in ws:
-            cols = np.concatenate([w[lo:hi], 2.0 * w[hi:]])
-            block_sums.append([float(w[lo:hi] @ (block @ cols)) for block in blocks])
-        sums = sums + np.array(block_sums)
+        cols = np.concatenate([w[lo:hi], 2.0 * w[hi:]])
+        sums = sums + np.array([float(w[lo:hi] @ (block @ cols)) for block in blocks])
         lo = hi
-    return (sums / [[w.sum() * w.sum()] for w in ws]).ravel().tolist()
-
-
-def _mirrored_rules(n: int):
-    # weights folding the n grid, and its embedded n/2 grid, onto k = 0..n//2
-    half = np.zeros(n // 2 + 1)
-    half[::2] = _mirror_weights(n // 2)
-    return _mirror_weights(n), half
+    return (sums / (w.sum() * w.sum())).tolist()
 
 
 def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: float, n: int):
@@ -329,27 +315,7 @@ def car_grid_sums(theta: np.ndarray, oi: np.ndarray, oj: np.ndarray, sigma2: flo
 
     half = np.zeros(n)
     half[:n - n % 2:2] = 1.0
-    return (*_weighted_grid_means(_mirrored_rules(n), (np.ones(n), half), integrands), min(lows))
-
-
-def sfcar_gap_sums(zeta, rho, snr, n: int):
-    """Means of phi(SNR) - phi(s), phi the (kli, mi) integrands and
-    s = SNR (1 - 4 zeta rho)/(1 - 2 zeta c), c = cos w1 + cos w2, on the
-    n x n ``torus_grid`` and its n/2 grid (even n), for each row of the 1-D
-    arrays zeta, rho and snr: arrays (kli, mi, kli_half, mi_half).  As the
-    mean of s is the SNR, they are the means of the Bregman remainder
-    (sinh t - t)/2 + k sinh^2(t/2), 1 + s = (1 + SNR) e^t, k = (SNR - 1)/(SNR + 1)
-    for the KLI and 1 for the MI: no cancellation, for |t| <= 1 (alpha*d >= 3).
-    The terms depend on cos w1 + cos w2 alone, so both axes fold onto
-    k = 0..n/2 and the sum runs over the triangle k <= l."""
-    zeta, rho, snr = (np.asarray(v, dtype=np.float64)[:, None, None] for v in (zeta, rho, snr))
-    c = np.cos(torus_grid(n)[:n // 2 + 1])
-    gain, kli_coef = snr / (1.0 + snr), (snr - 1.0) / (snr + 1.0)
-
-    def integrands(rows, cols):
-        c_sum = c[rows, None] + c[cols]
-        t = np.log1p(gain * (2.0 * zeta) * (c_sum - 2.0 * rho) / (1.0 - (2.0 * zeta) * c_sum))
-        odd, even = _half_sinh_minus_x(t), np.sinh(0.5 * t) ** 2
-        return np.concatenate([odd + kli_coef * even, odd + even])
-
-    return tuple(np.reshape(_folded_grid_means(_mirrored_rules(n), integrands), (4, -1)))
+    rows_half = np.zeros(n // 2 + 1)  # the n/2 grid's rows, folded
+    rows_half[::2] = _mirror_weights(n // 2)
+    return (*_weighted_grid_means((_mirror_weights(n), rows_half), (np.ones(n), half),
+                                  integrands), min(lows))

@@ -74,15 +74,20 @@ class FitResult:
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
-    """Least-squares line y = a + b x; returns (b, a, r^2)."""
+    """Least-squares line y = a + b x; returns (b, a, r^2), in closed form on
+    x/max|x| centred: neither the scale of x nor its offset conditions it."""
     if len(x) < 2 or float(np.ptp(x)) == 0.0:
         raise ValueError("degenerate abscissa: no spread to fit")
-    b, a = np.polyfit(x, y, 1)
-    resid = y - (a + b * x)
+    scale = float(np.max(np.abs(x)))
+    u = x / scale
+    u_mean = float(u.mean())
+    u -= u_mean
     total = y - y.mean()
+    slope = float(u @ total) / float(u @ u)
+    resid = total - slope * u
     ss_tot = float(total @ total)
     r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
-    return float(b), float(a), r2
+    return slope / scale, float(y.mean()) - slope * u_mean, r2
 
 
 def fit_power_law(points: Sequence[Tuple[float, float]]) -> FitResult:
@@ -192,9 +197,10 @@ def exp_spacing_convergence(alpha: float, snr: float, d_values: Sequence[float],
     exponentially small.
 
     The gaps come from ``rates.sfcar_rate_gaps`` at the rates' (rho, zeta),
-    not as differences.  Raises NonConvergenceError if a rate or gap is
-    unconverged, and ValueError if a gap is not positive: the KLI gap below
-    SNR 1, and any gap past alpha*d ~ 350, where it underflows.
+    not as differences: a series, exact up to rounding, that takes no
+    quadrature.  Raises NonConvergenceError if a rate is unconverged, and
+    ValueError if a gap is not positive: the KLI gap below SNR 1, and any
+    gap past alpha*d ~ 350, where it underflows.
     """
     d_values = sorted(float(d) for d in d_values)
     if len(d_values) < 4:
@@ -208,8 +214,8 @@ def exp_spacing_convergence(alpha: float, snr: float, d_values: Sequence[float],
         rho, zeta, *_ = correlation_parameters(field)
         rate_rows.append(sfcar_row_at_spacing(field, snr))
         gap_rows.append((zeta, rho, snr))
-    rates, gaps = sfcar_rates_batch(rate_rows, spec), sfcar_rate_gaps(gap_rows, spec)
-    require_converged(rates + gaps)
+    rates, gaps = sfcar_rates_batch(rate_rows, spec), sfcar_rate_gaps(gap_rows)
+    require_converged(rates)
     rows = [(d, {"rho": rho, "kli": res.kli_rate, "mi": res.mi_rate,
                  "gap_kli": gap.kli_rate, "gap_mi": gap.mi_rate})
             for d, (_, rho, _), res, gap in zip(d_values, gap_rows, rates, gaps)]

@@ -12,10 +12,10 @@ truncated at the edge, T the path adjacency, diagonalised by the DST-I;
 Strang, "The Discrete Cosine Transform", SIAM Rev. 41, 1999).  Per-node KLI
 and MI at finite n are exact sums of the spectral integrands over q_kl --
 on the torus a rectangle rule whose n -> infinity limit is the spectral
-integral on the grid of ``_kernels_py.car_grid_sums`` -- taken by the
-kernels' folded 2-D block sum: s_kl = s_lk, so it runs over the triangle
-k <= l.  A Monte
-Carlo log-likelihood-ratio simulation under the noise-only hypothesis
+integral on the grid of ``_kernels_py.car_grid_sums`` -- taken by
+``_kernels_py._folded_grid_means``, which serves the oracle alone:
+s_kl = s_lk, so it runs over the triangle k <= l.  A Monte Carlo
+log-likelihood-ratio simulation under the noise-only hypothesis
 verifies the almost-sure limit the KLI rate is defined by.  It draws the
 periodogram of the torus's white noise from its law, chi^2_1 on the
 self-conjugate bins and one Exp(1) per conjugate pair: n^2/2 + 2 gamma
@@ -121,7 +121,7 @@ def finite_lattice_rates(params: SfcarParams, noise: NoiseModel,
     # in row blocks, whose temporaries stay small: n^2-sized ones would
     # raise the peak memory of the process
     kli, mi = _folded_grid_means(
-        (mult,), lambda rows, cols: _integrands(1.0 / np.add.outer(a[rows], a[cols])))
+        mult, lambda rows, cols: _integrands(1.0 / np.add.outer(a[rows], a[cols])))
     return RateResult(kli, mi, n, True)
 
 

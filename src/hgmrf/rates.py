@@ -42,12 +42,13 @@ implementation for cross-validation: the periodic trapezoid rule on the
 n x n torus grid w = 2 pi k/n, the grid of the finite-lattice torus
 oracle, whose even-indexed nodes are the n/2 grid.  Each kernel call
 returns both grids' means from the same integrand values, so both rate
-paths share one doubling scheme, one kernel call per round, and so do
-the spacing gaps of ``sfcar_rate_gaps``.  Both start at side 32 (halved
-to fit the budget: every size integrated is a power of two), as the rule
-converges exponentially on a periodic analytic integrand, and both form
-their integrands without cancellation, so one zero floor, the smallest
-normal double, serves every rate path.
+paths share one doubling scheme, one kernel call per round.  It starts
+at side 32 (halved to fit the budget: every size integrated is a power
+of two), as the rule converges exponentially on a periodic analytic
+integrand, and both paths form their integrands without cancellation,
+so one zero floor, the smallest normal double, serves every rate path.
+The spacing gaps of ``sfcar_rate_gaps`` take no quadrature: they are one
+series in zeta^2 over the closed walks of the square lattice.
 """
 
 import math
@@ -69,8 +70,8 @@ class RateResult:
 
     kli_rate <= mi_rate always (their integrands differ by the nonpositive
     term 0.5/(1+s) - 0.5).  quadrature_points is the final node count per
-    axis: w1 nodes on the SFCAR path, the grid side on the torus-grid paths
-    (0 for closed-form endpoint values); converged=False flags an estimate
+    axis: w1 nodes on the SFCAR path, the grid side on the torus-grid path
+    (0 for closed-form values, the gaps'); converged=False flags an estimate
     that stopped at the point budget without meeting the tolerance.
     """
 
@@ -98,7 +99,7 @@ def kli_integrand(s):
 
 
 #: First w1 node count of the SFCAR rates, and first torus-grid side of
-#: ``sfcar_rate_gaps`` and ``kli_rate_car``; each is halved to fit the budget.
+#: ``kli_rate_car``; each is halved to fit the budget.
 _SFCAR_START = 512
 _TORUS_START_SIDE = 32
 
@@ -223,15 +224,41 @@ def sfcar_rates_at_spacing(field: PhysicalField, snr: float,
     return sfcar_rates_batch([sfcar_row_at_spacing(field, snr)], spec)[0]
 
 
-def sfcar_rate_gaps(rows: Sequence[Tuple[float, float, float]],
-                    spec: QuadratureSpec = DEFAULT_QUADRATURE) -> List[RateResult]:
-    """rate(zeta = 0) - rate(zeta) as kli_rate and mi_rate for each row (zeta,
-    rho, SNR) with alpha*d >= 3, from torus side 32 halved to fit the budget (side
-    16 is within 2e-11 relative at alpha*d = 3); non-convergence is flagged."""
-    def sums(n, live):
-        return [v.tolist() for v in _kernels_py.sfcar_gap_sums(*np.array(rows)[live].T, n)]
+#: Orders n = 2..64 and closed walks W_n = C(n, n/2)^2 of the square lattice
+#: (Guttmann, J. Phys. A 43, 305205, 2010); terms fall by (4 zeta)^2 <= 1/4.
+_GAP_ORDERS = np.arange(2.0, 65.0, 2.0)
+_WALKS = np.array([float(math.comb(n, n // 2) ** 2) for n in range(2, 65, 2)])
 
-    return _doubling_rates(sums, len(rows), spec, _TORUS_START_SIDE)
+
+def sfcar_rate_gaps(rows: Sequence[Tuple[float, float, float]]) -> List[RateResult]:
+    """rate(zeta = 0) - rate(zeta) as kli_rate and mi_rate for each row
+    (zeta, rho, SNR), zeta in [0, 1/8] (alpha*d above ~2.85), by the
+    lattice-walk series of the README's Numerical notes, exact up to
+    rounding (quadrature_points 0): with G = 1/(1 - 4 zeta rho),
+    q = G/(G + SNR), e = 1/q - 2 and B = u - log1p(u), u = (1 - q)(G - 1),
+    2 Delta_MI = (1 - q)^2 sum (W_n/n) zeta^n S_n - B and 2 Delta_KLI =
+    (1 - q)^2 (q sum (W_n/n) zeta^n N_n + (G - 1)^2/(1 + SNR)) - B, where
+    S_n = sum_{l <= n-2} (n - 1 - l) q^l and N_n = e S_n + sum_{l <= n-2}
+    (n - 2 - 2l) q^l.  No part cancels, also at SNR = 1, where the KLI gap
+    is O(zeta^4); a row's result does not depend on the batch.
+    """
+    zeta, rho, snr = np.array(rows, dtype=np.float64).reshape(-1, 3, 1).transpose(1, 0, 2)
+    bad = ~((zeta >= 0.0) & (zeta <= 0.125))
+    if bad.any():
+        raise ValueError(f"the gap series needs zeta in [0, 1/8], got {float(zeta[bad][0])!r}")
+    powers = (zeta * zeta) ** np.arange(1, 33) * (_WALKS / _GAP_ORDERS)  # (W_n/n) zeta^n
+    g_minus_1 = 4.0 * zeta * rho / (1.0 - 4.0 * zeta * rho)
+    q, one_minus_q = (1.0 + g_minus_1) / (1.0 + g_minus_1 + snr), snr / (1.0 + g_minus_1 + snr)
+    e = (snr - 1.0) - 4.0 * zeta * rho * snr
+    t = np.log1p(one_minus_q * g_minus_1)
+    bregman = 2.0 * np.sinh(0.5 * t) ** 2 + 2.0 * _kernels_py._half_sinh_minus_x(t)
+    partial = np.cumsum(q ** np.arange(63), axis=1)  # sum_{l < k} q^l, k = 1..63
+    s_n = np.cumsum(partial, axis=1)[:, ::2]
+    n_terms = e * s_n + (2.0 * s_n - _GAP_ORDERS * partial[:, ::2])
+    mi = one_minus_q ** 2 * np.sum(powers * s_n, axis=1, keepdims=True) - bregman
+    kli = one_minus_q ** 2 * (q * np.sum(powers * n_terms, axis=1, keepdims=True)
+                              + g_minus_1 * g_minus_1 / (1.0 + snr)) - bregman
+    return [RateResult(k, m, 0, True) for k, m in (0.5 * np.hstack([kli, mi])).tolist()]
 
 
 def kli_rate_car(coeffs: CarCoefficients, noise: NoiseModel,

@@ -4,7 +4,8 @@ The special-function oracles deliberately avoid the library's own
 algorithms: the elliptic integral is evaluated by high-precision
 quadrature of its defining theta-integral and K_1 by quadrature of its
 integral representation, both via mpmath at 30 significant digits.  The
-spacing-gap oracle takes each gap from its definition, at 50 digits.
+spacing-gap oracle takes each gap from its definition, at 50 digits or
+more.
 """
 
 import functools
@@ -39,13 +40,13 @@ def bessel_k1_oracle():
 
 
 @functools.lru_cache(maxsize=None)
-def _spacing_gaps(zeta: float, snr: float, n: int):
+def _spacing_gaps(zeta: float, snr: float, n: int, digits: int = 50):
     # phi(SNR) - (mean of phi(s) on the n x n torus grid) for phi the (KLI,
     # MI) integrands, s = SNR/((2/pi) K(4 zeta) (1 - 2 zeta (cos w1 + cos w2))):
-    # the definition, whose cancellation 50 digits absorb; the sum runs
+    # the definition, whose cancellation the digits must absorb; the sum runs
     # over the distinct cosine pairs k <= l of k, l = 0..n/2 with their
     # multiplicities
-    with mp.workdps(50):
+    with mp.workdps(digits):
         z, snr_mp = mp.mpf(zeta), mp.mpf(snr)
         scale = 2 / mp.pi * mp.ellipk((4 * z) ** 2)  # mpmath takes m = k^2
 
@@ -68,6 +69,7 @@ def _spacing_gaps(zeta: float, snr: float, n: int):
 
 @pytest.fixture(scope="session")
 def spacing_gap_oracle():
-    """(kli, mi) gaps rate(zeta = 0) - rate(zeta) as 50-digit mpf, from
-    their definition on the n x n torus grid (n even)."""
+    """(kli, mi) gaps rate(zeta = 0) - rate(zeta) as mpf of the given
+    digits (default 50), from their definition on the n x n torus grid
+    (n even)."""
     return _spacing_gaps

@@ -398,8 +398,8 @@ class TestExperimentWork:
         # kernel call per doubling round, and every row converges in the
         # first, at 512 nodes against its embedded 256-node rule: 6 calls
         # where one call per row and round made 84; at zeta = 1/4 every
-        # rate is 0.  The spacing sweep has no zeta = 0 row: its gaps have
-        # a kernel of their own
+        # rate is 0.  The spacing sweep has no zeta = 0 row: its gaps take
+        # no quadrature
         from hgmrf import _kernels_py
 
         calls = []
@@ -564,6 +564,20 @@ class TestExperimentCommand:
         assert (status, out) == (2, "")
         assert err == "error: rate quadrature did not converge for this sweep\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_unit_snr_spacing_gaps(self, tmp_path):
+        # at SNR 1 the KLI gap is O(rho^4): a torus sum of its Bregman terms
+        # wrote 6.588327841604178e-33 at d = 20, 3.0e-9 off, flagged
+        # converged, and did not converge at d = 30 (exit 2).  The value is
+        # the 60-digit definition on torus sides 32 and 48
+        out = str(tmp_path / "spacing")
+        argv = ["experiment", "spacing", "--snr", "1", "--out", out, "--values"]
+        assert main(argv + ["3,5,10,20"]) == 0
+        with open(tmp_path / "spacing.csv", encoding="utf-8") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert float(last["spacing"]) == 20.0
+        assert float(last["gap_kli"]) == pytest.approx(6.588327822023327e-33, rel=1e-14, abs=0)
+        assert main(argv + ["3,10,20,30"]) == 0
 
     def test_snr_table_cells_are_numbers(self, tmp_path):
         out = tmp_path / "snr"

@@ -139,6 +139,23 @@ class TestSpacingConvergence:
             2.0 * fit1.estimates["decay_rate_kli"], rel=0.02
         )
 
+    def test_fit_keeps_its_slope_at_extreme_spacings(self):
+        # alpha*d is the same as on the unit grid, so the gaps are, and the
+        # fit only rescales: np.polyfit squared the 1e300 scale of the
+        # spacings, warned of a rank deficit and gave a decay rate of -0.0
+        shift = 0.5 * math.log(1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep, fit = exp_spacing_convergence(1e-300, 10.0, [3e300, 4e300, 5e300, 6e300])
+        _, unit = exp_spacing_convergence(1.0, 10.0, [3.0, 4.0, 5.0, 6.0])
+        for tag in ("kli", "mi"):
+            for key in (f"decay_rate_{tag}", f"decay_rate_{tag}_d_prefactor"):
+                assert fit.estimates[key] == pytest.approx(1e-300 * unit.estimates[key],
+                                                           rel=1e-12, abs=0)
+            assert fit.estimates[f"log_prefactor_{tag}"] == pytest.approx(
+                unit.estimates[f"log_prefactor_{tag}"] - shift, rel=1e-12, abs=0)
+        assert fit.r_squared == pytest.approx(unit.r_squared, rel=1e-12)
+
     def test_requires_tail_regime(self):
         with pytest.raises(ValueError, match="tail"):
             exp_spacing_convergence(1.0, 10.0, [1.0, 2.0, 3.0, 4.0])

@@ -101,10 +101,6 @@ def lattice_sums(boundary, snr):
     return sums
 
 
-def gap_sums(n):
-    return np.concatenate(_kernels_py.sfcar_gap_sums(*GAP_ROWS, n)).tolist()
-
-
 @pytest.mark.parametrize("sums, n, block", [
     pytest.param(car_sums, n, block, id=f"{n}-{block}")
     for n, block in ((300, 4096), (301, 4096), (301, 100))
@@ -113,17 +109,14 @@ def gap_sums(n):
                  id=f"{boundary}-{n}-{block}" + ("" if snr == 3.0 else f"-snr{snr}"))
     for snr in (3.0, 1e-3) for boundary in ("torus", "free")
     for n, block in ((64, 100), (65, 100), (301, 100), (64, 1), (65, 1))
-] + [
-    pytest.param(gap_sums, 256, block, id=f"gaps-256-{block}") for block in (100, 1)
 ])
 def test_python_kernel_blocking_invariant(monkeypatch, sums, n, block):
-    # one block size governs the general-CAR kernel, the finite-lattice
-    # oracle and the spacing gaps, and must not affect a reduction beyond
-    # roundoff, also where a block is smaller than one row and holds one
-    # row (in the folded sums of the oracle and the gaps, the columns of
-    # that row from the diagonal on).  At SNR 3 the oracle's blocks hold
-    # cells with t = log1p(s) >= 1 only, or on both sides of 1; at SNR 1e-3
-    # every t < 1: each form of the integrand
+    # one block size governs the general-CAR kernel and the finite-lattice
+    # oracle, and must not affect a reduction beyond roundoff, also where a
+    # block is smaller than one row and holds one row (in the oracle's
+    # folded sum, the columns of that row from the diagonal on).  At SNR 3
+    # the oracle's blocks hold cells with t = log1p(s) >= 1 only, or on
+    # both sides of 1; at SNR 1e-3 every t < 1: each form of the integrand
     full = sums(n)
     monkeypatch.setattr(_kernels_py, "_BLOCK_ELEMS", block)
     blocked = sums(n)
@@ -153,47 +146,6 @@ def test_car_half_means_are_the_half_grid(seed, n):
     kli, mi, _kli_half, _mi_half, _den = _kernels_py.car_grid_sums(theta, oi, oj, 0.5, n // 2)
     assert kli_half == pytest.approx(kli, rel=4e-15, abs=0)
     assert mi_half == pytest.approx(mi, rel=4e-15, abs=0)
-
-
-#: (zeta, rho, SNR) rows of the gap kernel: alpha*d = 3 at SNR 10 and 1e-3,
-#: alpha*d = 8 at SNR 1e4
-GAP_ROWS = ([0.11244433540251597, 0.11244433540251597, 0.0012429440931255667],
-            [0.12046929338458255, 0.12046929338458255, 0.0012429536944400092],
-            [10.0, 1e-3, 1e4])
-
-
-@pytest.mark.parametrize("n", [8, 32, 256])
-def test_gap_half_means_are_the_half_grid(n):
-    # as for the CAR kernel: the embedded means are the n/2 grid's
-    _kli, _mi, kli_half, mi_half = _kernels_py.sfcar_gap_sums(*GAP_ROWS, n)
-    kli, mi, _kli_half, _mi_half = _kernels_py.sfcar_gap_sums(*GAP_ROWS, n // 2)
-    np.testing.assert_allclose(kli_half, kli, rtol=4e-15, atol=0)
-    np.testing.assert_allclose(mi_half, mi, rtol=4e-15, atol=0)
-
-
-@pytest.mark.parametrize("n", [8, 32, 256])
-def test_gap_sums_match_full_grid(n):
-    # the triangle k <= l of the folded grid against the Bregman terms of
-    # every cell of the n x n torus grid, and of its even-indexed rows and
-    # columns for the n/2 grid
-    c = np.cos(2.0 * np.pi * np.arange(n) / n)
-    c_sum = c[:, None] + c[None, :]
-    want = []
-    for zeta, rho, snr in zip(*GAP_ROWS):
-        t = np.log1p(snr / (1.0 + snr) * (2.0 * zeta) * (c_sum - 2.0 * rho)
-                     / (1.0 - (2.0 * zeta) * c_sum))
-        odd, even = _kernels_py._half_sinh_minus_x(t), np.sinh(0.5 * t) ** 2
-        kli, mi = odd + (snr - 1.0) / (snr + 1.0) * even, odd + even
-        want.append([np.mean(kli), np.mean(mi), np.mean(kli[::2, ::2]), np.mean(mi[::2, ::2])])
-    got = _kernels_py.sfcar_gap_sums(*GAP_ROWS, n)
-    np.testing.assert_allclose(np.transpose(got), want, rtol=1e-14, atol=0)
-
-
-def test_gap_row_does_not_depend_on_the_batch():
-    batch = np.array(_kernels_py.sfcar_gap_sums(*GAP_ROWS, 32))
-    for i in range(3):
-        alone = _kernels_py.sfcar_gap_sums(*([col[i]] for col in GAP_ROWS), 32)
-        assert [float(v[0]) for v in alone] == batch[:, i].tolist()
 
 
 @pytest.mark.parametrize("n, zeta, snr", [

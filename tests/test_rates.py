@@ -303,9 +303,9 @@ class TestOneDimensionalPathAccuracy:
 
 @pytest.fixture
 def kernel_sides(monkeypatch):
-    """The node count or grid side of each call to the three rate kernels."""
+    """The node count or grid side of each call to the two rate kernels."""
     sides = []
-    for name in ("sfcar_grid_sums", "sfcar_gap_sums", "car_grid_sums"):
+    for name in ("sfcar_grid_sums", "car_grid_sums"):
         kernel = getattr(_kernels_py, name)
         monkeypatch.setattr(_kernels_py, name,
                             lambda *args, kernel=kernel: sides.append(args[-1]) or kernel(*args))
@@ -456,8 +456,13 @@ def _gap_row(alpha_d, snr):
 
 
 class TestSpacingGaps:
-    @pytest.mark.parametrize("snr", [1e-3, 10.0, 1e4])
-    @pytest.mark.parametrize("alpha_d", [3.0, 8.0, 30.0])
+    @pytest.mark.parametrize("alpha_d,snr", [
+        (alpha_d, snr) for alpha_d in (3.0, 8.0, 30.0) for snr in (1e-3, 10.0, 1e4)
+    ] + [
+        # near SNR 1 the KLI gap's zeta^2 term vanishes (alpha*d = 20 is in
+        # test_near_unit_snr_at_wide_spacing)
+        (alpha_d, snr) for alpha_d in (3.5, 8.0) for snr in (0.99, 1.0, 1.01)
+    ])
     def test_against_the_definition_at_50_digits(self, spacing_gap_oracle, alpha_d, snr):
         # the reference subtracts the rates at 50 digits, with no Bregman
         # rewrite; its torus sides 32 and 48 agree far below the tolerance,
@@ -465,10 +470,52 @@ class TestSpacingGaps:
         zeta, rho, _ = row = _gap_row(alpha_d, snr)
         ref, ref_48 = spacing_gap_oracle(zeta, snr, 32), spacing_gap_oracle(zeta, snr, 48)
         gaps = sfcar_rate_gaps([row])[0]
-        assert (gaps.converged, gaps.quadrature_points) == (True, 32)
+        assert (gaps.converged, gaps.quadrature_points) == (True, 0)
         for value, want, want_48 in zip((gaps.kli_rate, gaps.mi_rate), ref, ref_48):
             assert abs((want_48 - want) / want) < 1e-20
             assert value == pytest.approx(float(want), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha_d,snr,digits", [
+        (20.0, snr, 60) for snr in (0.99, 1.0, 1.01)
+    ] + [(30.0, 1.0, 80), (60.0, 1.0, 130)])
+    def test_near_unit_snr_at_wide_spacing(self, spacing_gap_oracle, alpha_d, snr, digits):
+        # at SNR 1 the KLI gap is O(rho^4): ~7e-33, ~6e-50 and ~2e-101 of
+        # rates O(1), so the definition needs more than 50 digits (at 80,
+        # alpha*d = 60 gets its sign wrong), and sides 32 and 48 agree to show
+        # they suffice.  A torus sum of the Bregman terms left the gap at
+        # alpha*d = 20 3.0e-9 off and flagged converged, and did not converge at 30
+        zeta, rho, _ = row = _gap_row(alpha_d, snr)
+        ref = spacing_gap_oracle(zeta, snr, 32, digits)
+        ref_48 = spacing_gap_oracle(zeta, snr, 48, digits)
+        gaps = sfcar_rate_gaps([row])[0]
+        for value, want, want_48 in zip((gaps.kli_rate, gaps.mi_rate), ref, ref_48):
+            assert abs((want_48 - want) / want) < 1e-20
+            assert value == pytest.approx(float(want), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("snr", [1e-3, 1.0, 1e4])
+    def test_at_the_end_of_the_series_domain(self, spacing_gap_oracle, snr):
+        # at zeta = 1/8 the terms fall by 1/4 per order, the slowest the
+        # series takes; the torus sum needs side 64 there, and 96 agrees
+        row = (0.125, rho_from_zeta(0.125), snr)
+        ref, ref_96 = spacing_gap_oracle(0.125, snr, 64), spacing_gap_oracle(0.125, snr, 96)
+        gaps = sfcar_rate_gaps([row])[0]
+        for value, want, want_96 in zip((gaps.kli_rate, gaps.mi_rate), ref, ref_96):
+            assert abs((want_96 - want) / want) < 1e-40
+            assert value == pytest.approx(float(want), rel=2e-15, abs=0)
+
+    @pytest.mark.parametrize("zeta", [float(np.nextafter(0.125, 1.0)), 0.2, math.nan])
+    def test_zeta_outside_the_series_domain_refused(self, zeta):
+        rows = [_gap_row(3.0, 10.0), (zeta, 0.2, 10.0)]
+        with pytest.raises(ValueError, match=r"zeta in \[0, 1/8\]") as info:
+            sfcar_rate_gaps(rows)
+        assert "\n" not in str(info.value)
+
+    def test_gap_row_does_not_depend_on_the_batch(self):
+        rows = [_gap_row(alpha_d, snr) for alpha_d, snr in
+                ((3.0, 10.0), (3.0, 1e-3), (8.0, 1e4), (20.0, 1.0), (2.9, 0.99))]
+        batch = sfcar_rate_gaps(rows)
+        for row, res in zip(rows, batch):
+            assert sfcar_rate_gaps([row]) == [res]
 
     @pytest.mark.parametrize("snr", [10.0, 1e4])
     def test_equal_the_rate_differences_where_those_resolve_them(self, snr):
@@ -482,19 +529,12 @@ class TestSpacingGaps:
         assert gaps.kli_rate == pytest.approx(base.kli_rate - rates.kli_rate, rel=1e-12, abs=0)
         assert gaps.mi_rate == pytest.approx(base.mi_rate - rates.mi_rate, rel=1e-12, abs=0)
 
-    def test_unconverged_within_a_small_budget_is_flagged(self):
-        # the first call is at side 32, halved to a budget below it
-        spec = QuadratureSpec(relative_tolerance=1e-12, max_points_per_axis=16)
-        gaps = sfcar_rate_gaps([_gap_row(3.0, 10.0)], spec)[0]
-        assert (gaps.converged, gaps.quadrature_points) == (False, 16)
-
 
 class TestStartHalvedToTheBudget:
     PATHS = {
         "sfcar": lambda spec: [sfcar_rates(0.2499, 1.0, spec)],
         "car": lambda spec: [kli_rate_car(sfcar_from_snr(10.0, 0.2499, NoiseModel(1.0)).taps(),
                                           NoiseModel(1.0), spec)],
-        "gaps": lambda spec: sfcar_rate_gaps([_gap_row(3.0, 10.0)], spec),
     }
 
     @pytest.mark.parametrize("path", PATHS)
